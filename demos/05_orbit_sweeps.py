@@ -2,13 +2,14 @@
 
 A sweep evaluates one axis of a base configuration on a grid; every grid
 point becomes one output record, failed points included (with a status
-instead of numbers).  Evaluation is embarrassingly parallel and the
-output bytes are identical for any worker count.  The same functionality
-is exposed on the command line, e.g.
+instead of numbers).  Points are evaluated in grid order, so the output
+bytes depend only on the sweep; the ``parallelism`` argument is accepted
+but changes nothing.  The same functionality is exposed on the command
+line, e.g.
 
     kerrcasimir sweep --mass 1 --spin 0.5 --radius 10 --omega zamo \
         --length 0.01 --area 1e-4 --axis T --start 0.01 --stop 10 \
-        --count 25 --scale log --parallelism 8 --output sweep.csv
+        --count 25 --scale log --output sweep.csv
 """
 
 from kerrcasimir import (
@@ -31,7 +32,7 @@ base = PointRequest(
 )
 
 spec = SweepSpec(axis=SweepAxis.T, start=0.01, stop=10.0, count=9, scale="log", base=base)
-records = run_sweep(spec, parallelism=4)
+records = run_sweep(spec)
 
 print("Coordinate-temperature sweep on the zero-angular-momentum orbit:")
 print(f"{'T':>10} {'Tp':>10} {'beta_hat':>10} {'F_ren':>14} {'S_ren':>12} {'status':>8}")
@@ -42,7 +43,7 @@ for rec in records:
 serial = records_to_csv(run_sweep(spec, parallelism=1))
 parallel = records_to_csv(run_sweep(spec, parallelism=8))
 print()
-print(f"CSV bytes, 1 worker vs 8 workers, identical: {serial == parallel}")
+print(f"CSV bytes, parallelism 1 vs 8, identical: {serial == parallel}")
 
 # A sweep across the whole angular-velocity band hits both light-cone
 # boundaries; those points come back as forbidden_orbit records.

@@ -58,6 +58,7 @@ from .oracles import (
     double_sum_free_energy,
     finite_difference_thermo,
     quadrature_free_energy,
+    thermal_correction_resummed_form,
     validation_checks,
 )
 from .sweep import (
@@ -84,7 +85,6 @@ from .thermal import (
     internal_energy,
     renorm_thermal_correction,
     thermal_correction_exact,
-    thermal_correction_resummed_form,
     total_free_energy,
     vacuum_energy,
 )

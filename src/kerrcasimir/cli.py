@@ -1,9 +1,10 @@
 """Command-line front end: point evaluation, sweeps and oracle validation.
 
 Exit codes: 0 success, 1 validation failure, 2 invalid input.  A config
-file of plain ``key=value`` lines (keys matching the long flag names,
-with ``-`` or ``_`` interchangeable) may set defaults; explicit flags
-always win.
+file of plain ``key=value`` lines may set defaults for any flag of the
+subcommand it is given to (keys are the long flag names, with ``-`` or
+``_`` interchangeable, typed and checked as the flags are); explicit
+flags always win.
 """
 
 from __future__ import annotations
@@ -33,12 +34,6 @@ from .sweep import (
     run_sweep,
 )
 from .thermal import SeriesControl
-
-_POINT_KEYS = {
-    "mass", "spin", "radius", "omega", "length", "area", "temperature",
-    "rel_tol", "m_max", "format", "parallelism", "allow_naked",
-    "axis", "start", "stop", "count", "scale",
-}
 
 
 def _add_point_flags(parser: argparse.ArgumentParser) -> None:
@@ -79,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--stop", type=float, required=True)
     p_sweep.add_argument("--count", type=int, default=11)
     p_sweep.add_argument("--scale", choices=("linear", "log"), default="linear")
-    p_sweep.add_argument("--parallelism", type=int, default=1)
+    p_sweep.add_argument("--parallelism", type=int, default=1,
+                         help="accepted for compatibility (>= 1); points run in grid order")
 
     p_val = sub.add_parser("validate", help="run the brute-force oracle suite")
     p_val.add_argument("--n-max", type=int, default=10**5)
@@ -96,7 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, sub: argparse.ArgumentParser) -> dict:
+    """Typed flag defaults from a key=value file, for the flags of ``sub``.
+
+    The allowed keys, their types and their choices come from the
+    subparser's own options, so every flag of a subcommand is a valid key.
+    """
+    actions = {
+        action.dest: action for action in sub._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
     defaults = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -107,18 +112,18 @@ def _load_config(path: str) -> dict:
                 raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            if key not in _POINT_KEYS:
+            action = actions.get(key)
+            if action is None:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-            defaults[key] = value.strip()
+            value = value.strip()
+            if action.nargs == 0:  # on/off flag such as --allow-naked
+                typed = value.lower() in ("1", "true", "yes")
+            else:
+                typed = (action.type or str)(value)
+            if action.choices is not None and typed not in action.choices:
+                raise DomainError(f"{path}:{lineno}: {key} must be one of {list(action.choices)}")
+            defaults[key] = typed
     return defaults
-
-
-_CONFIG_TYPES = {
-    "mass": float, "spin": float, "radius": float, "length": float,
-    "area": float, "temperature": float, "rel_tol": float, "m_max": int,
-    "parallelism": int, "start": float, "stop": float, "count": int,
-    "allow_naked": lambda s: s.lower() in ("1", "true", "yes"),
-}
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
@@ -127,11 +132,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argpa
     config_path = getattr(args, "config", None)
     if not config_path:
         return args
-    defaults = _load_config(config_path)
-    typed = {k: _CONFIG_TYPES.get(k, str)(v) for k, v in defaults.items()}
     sub = parser.subcommand_parsers[args.command]
-    known = {action.dest for action in sub._actions}
-    sub.set_defaults(**{k: v for k, v in typed.items() if k in known})
+    sub.set_defaults(**_load_config(config_path, sub))
     return parser.parse_args(argv)
 
 

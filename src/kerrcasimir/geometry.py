@@ -43,6 +43,13 @@ __all__ = [
 ]
 
 
+def _require_finite(**values: float) -> None:
+    """Reject NaN and +-inf inputs by name, before any formula sees them."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {name}={value}")
+
+
 @dataclass(frozen=True)
 class KerrParams:
     """Mass and specific angular momentum of the rotating source.
@@ -57,6 +64,7 @@ class KerrParams:
     black_hole_mode: bool = True
 
     def __post_init__(self):
+        _require_finite(M=self.M, a=self.a)
         if not (self.M >= 0.0):
             raise DomainError(f"mass must be >= 0, got M={self.M}")
         if self.black_hole_mode and abs(self.a) > self.M:
@@ -78,6 +86,7 @@ class EquatorialOrbit:
     Omega: float = 0.0
 
     def __post_init__(self):
+        _require_finite(r=self.r, Omega=self.Omega)
         if not (self.r > 0.0):
             raise DomainError(f"orbit radius must be > 0, got r={self.r}")
 
@@ -90,6 +99,7 @@ class CavityGeometry:
     S0: float
 
     def __post_init__(self):
+        _require_finite(L=self.L, S0=self.S0)
         if not (self.L > 0.0):
             raise DomainError(f"plate separation must be > 0, got L={self.L}")
         if not (self.S0 > 0.0):
@@ -265,21 +275,26 @@ def proper_frame(
     """Proper cavity dimensions and proper temperature of the comoving observer.
 
     Lp = L sqrt(Delta) C / r,  Sp = (r / sqrt(Delta)) S0,  Vp = S0 L C,
-    Tp = T C.  The identity Sp * Lp = Vp is exact.
+    Tp = T C.  The identity Sp * Lp = Vp is exact.  A non-finite or
+    negative T, or a frame that is not finite (inputs that bypassed the
+    dataclass checks, or overflow), raises DomainError.
     """
-    if T < 0.0:
-        raise DomainError(f"temperature must be >= 0, got T={T}")
+    if not (0.0 <= T < math.inf):
+        raise DomainError(f"temperature must be finite and >= 0, got T={T}")
     C = velocity_normalization(params, orbit)
     mf = equatorial_metric_functions(params, orbit.r)
     r = orbit.r
     sqrt_delta = math.sqrt(mf.Delta)
-    return ProperFrame(
+    frame = ProperFrame(
         C=C,
         Lp=cavity.L * sqrt_delta * C / r,
         Sp=(r / sqrt_delta) * cavity.S0,
         Vp=cavity.S0 * cavity.L * C,
         Tp=T * C,
     )
+    if not all(map(math.isfinite, (frame.Lp, frame.Sp, frame.Vp, frame.Tp))):
+        raise DomainError(f"proper frame is not finite: {frame}")
+    return frame
 
 
 def zamo_angular_velocity(params: KerrParams, r: float) -> float:

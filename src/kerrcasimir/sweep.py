@@ -1,18 +1,19 @@
 """Single-point evaluation, deterministic parameter sweeps and serialization.
 
-Every grid point is evaluated by a pure function, so a sweep can be
-parallelized freely: results are collected in grid order and the emitted
-bytes are identical for any worker count.  Failed points (forbidden
-orbit, inside horizon, naked singularity, series truncation) become
-records with an error status and empty numeric fields; no exception
-escapes and no NaN/Inf is ever serialized.
+Every grid point is evaluated by a pure function in one process, in grid
+order, so the emitted bytes depend only on the sweep specification.  A
+point costs at most 111 series terms at any temperature, and the GIL
+serializes the pure-Python kernel, so sweeps run without a thread pool.
+Failed points (forbidden orbit, inside horizon, naked singularity,
+non-finite or out-of-domain input, series truncation) become records with
+an error status and empty numeric fields; no exception escapes and no
+NaN/Inf is ever serialized.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Optional
@@ -101,9 +102,10 @@ class SweepSpec:
             raise DomainError("log scale requires start > 0")
 
     def grid(self) -> list[float]:
+        """Axis values as Python floats, so derived fields stay plain Python types."""
         if self.scale == "log":
-            return list(np.geomspace(self.start, self.stop, self.count))
-        return list(np.linspace(self.start, self.stop, self.count))
+            return np.geomspace(self.start, self.stop, self.count).tolist()
+        return np.linspace(self.start, self.stop, self.count).tolist()
 
     def request_at(self, value: float) -> PointRequest:
         """Base request with the axis value substituted; may raise DomainError
@@ -126,12 +128,7 @@ class SweepSpec:
         try:
             req = self.request_at(value)
         except DomainError:
-            b = self.base
-            inputs = dict(
-                M=b.params.M, a=b.params.a, r=b.orbit.r, Omega=b.orbit.Omega,
-                L=b.cavity.L, S0=b.cavity.S0, T=b.T,
-                rel_tol=b.control.rel_tol, m_max=b.control.m_max,
-            )
+            inputs = _inputs(self.base)
             inputs[self.axis.value] = value
             return OutputRecord(**inputs, status=PointStatus.INVALID_INPUT)
         return evaluate_point(req)
@@ -188,19 +185,18 @@ class OutputRecord:
     identity_residual: Optional[float] = None
 
 
+def _inputs(req: PointRequest) -> dict:
+    """The input columns of a record."""
+    return dict(
+        M=req.params.M, a=req.params.a, r=req.orbit.r, Omega=req.orbit.Omega,
+        L=req.cavity.L, S0=req.cavity.S0, T=req.T,
+        rel_tol=req.control.rel_tol, m_max=req.control.m_max,
+    )
+
+
 def evaluate_point(req: PointRequest) -> OutputRecord:
     """Evaluate one configuration; never raises, failures become statuses."""
-    base = dict(
-        M=req.params.M,
-        a=req.params.a,
-        r=req.orbit.r,
-        Omega=req.orbit.Omega,
-        L=req.cavity.L,
-        S0=req.cavity.S0,
-        T=req.T,
-        rel_tol=req.control.rel_tol,
-        m_max=req.control.m_max,
-    )
+    base = _inputs(req)
     try:
         frame = proper_frame(req.params, req.orbit, req.cavity, req.T)
         report = casimir_report(frame, req.params, req.orbit, req.control)
@@ -247,18 +243,16 @@ def evaluate_point(req: PointRequest) -> OutputRecord:
 
 
 def run_sweep(spec: SweepSpec, parallelism: int = 1) -> list[OutputRecord]:
-    """Evaluate the grid, in parallel, returning records in grid order.
+    """Evaluate the grid in order, returning records ordered by axis value.
 
-    Point evaluation is pure, so the output is independent of the worker
-    count; records come back ordered by axis value exactly as generated.
+    Points are evaluated one after another in the calling thread.
+    ``parallelism`` is validated (>= 1) and kept for API compatibility, but
+    no worker pool is started: threads gained nothing over the GIL-bound
+    kernel, so the output is the same bytes for every value.
     """
     if parallelism < 1:
         raise DomainError(f"parallelism must be >= 1, got {parallelism}")
-    grid = spec.grid()
-    if parallelism == 1:
-        return [spec.evaluate_at(v) for v in grid]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(spec.evaluate_at, grid))
+    return [spec.evaluate_at(v) for v in spec.grid()]
 
 
 def _format_cell(value) -> str:

@@ -1,4 +1,4 @@
-"""Renormalized thermal Casimir quantities from the resummed hyperbolic series.
+"""Renormalized thermal Casimir quantities from one shared series pass.
 
 All quantities are expressed in proper variables of the comoving observer:
 plate separation Lp, plate area Sp, volume Vp = Sp*Lp and proper
@@ -6,25 +6,31 @@ temperature Tp, with k_B = 1.  The dimensionless series parameter is
 beta_hat = 1/(2*Lp*Tp); small beta_hat is the high-temperature (or large
 separation) regime, large beta_hat the low-temperature one.
 
-The thermal correction to the free energy resums to a single sum over m of
+F, S and U are built from the coth sum S(b) = sum_m coth(pi m b)/m^3 and
+its first two derivatives.  With ce = coth - 1 and se = 1/sinh^2 =
+ce(ce + 2), one loop sums A = sum ce/m^3, B = sum se/m^2 and
+C = sum (1 + ce) se/m, so that S = zeta(3) + A, S' = -pi B and
+S'' = 2 pi^2 C.  Two representations share that loop:
 
-    coth(pi m beta_hat)/(m beta_hat)^3 + pi/((m beta_hat)^2 sinh^2(pi m beta_hat)),
+- direct, for beta_hat >= 1: the sums run at beta_hat, and the zeta(3)
+  tails and the black-body/surface subtractions are added in closed form,
+  kept apart from the exponentially small remainder so that low-temperature
+  values are free of cancellation.
+- inverted, for beta_hat < 1: Ramanujan's formula for zeta(3),
+  S(b)/(2 pi b) + b S(1/b)/(2 pi) = pi^2 (b^2/180 + 1/36 + 1/(180 b^2)),
+  the temperature-inversion symmetry of the slab (Brown & Maclay 1969;
+  Ravndal & Tollefsen 1989), moves the sums to 1/beta_hat.  The subtracted
+  power terms cancel algebraically; what is left is the complete
+  high-temperature power part plus sums decaying like e^(-2 pi m/beta_hat).
 
-and the renormalization subtracts the quartic (black-body) and cubic
-(surface) temperature terms of its high-temperature expansion.  Numerically
-every sum here is evaluated through the split coth(x) = 1 + ce(x) with
-ce(x) = 2/(e^(2x) - 1) and 1/sinh^2(x) = ce(x)(ce(x) + 2): the ce/se pieces
-decay like e^(-2 pi m beta_hat) and are summed term by term, while the
-residual power pieces (zeta(3) tails and the subtraction constants) are
-added in closed form.  This keeps every evaluation free of cancellation at
-large beta_hat, where the unrenormalized correction is exponentially small.
+Either way the sums run at an argument a >= 1 until e^(-2 pi m a)
+underflows, so a point needs at most 111 terms at any temperature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import DomainError, TruncationError
 from .geometry import (
@@ -43,7 +49,6 @@ __all__ = [
     "vacuum_energy",
     "beta_hat",
     "thermal_correction_exact",
-    "thermal_correction_resummed_form",
     "renorm_thermal_correction",
     "blackbody_density",
     "total_free_energy",
@@ -59,23 +64,23 @@ ZETA3 = 1.2020569031595942854
 # exact floating-point zero, so the sums terminate there unconditionally.
 _X_CUTOFF = 350.0
 
+_PI2 = math.pi**2
+_PI3 = math.pi**3
+
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation policy for the infinite sums.
+    """Truncation policy for the thermal series.
 
-    The closed-form sums run until their exponentially decaying terms
-    underflow (to exact zero or below abs_tol), so the achieved relative
-    truncation is below any admissible rel_tol; rel_tol is the guaranteed
-    bound recorded with results and the stop criterion for oracle-style
-    sums.  Exceeding m_max raises TruncationError; n_max bounds the mode
-    index in oracle sums.
+    The sums run until their exponentially decaying terms underflow, so the
+    achieved relative truncation is below any admissible rel_tol; rel_tol
+    is the guaranteed bound recorded with results.  Exceeding m_max terms
+    raises TruncationError, which the default never does (at most 111
+    terms are needed).
     """
 
     rel_tol: float = 1e-12
-    abs_tol: float = 1e-300
     m_max: int = 10**6
-    n_max: int = 10**5
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0):
@@ -101,8 +106,11 @@ class CasimirReport:
 
     F_ren = E0_ren + DeltaTF_ren holds by construction and
     U_ren = F_ren + Tp*S_ren is the Legendre identity the closed forms
-    satisfy.  terms_used and truncation_estimate describe the free-energy
-    series evaluation; beta_hat is infinite on the zero-temperature path.
+    satisfy.  terms_used counts the one series pass shared by F, S and U
+    (direct for beta_hat >= 1, inverted below); it is 0 at zero temperature
+    and for beta_hat below about 0.009, where e^(-2 pi/beta_hat) already
+    underflows.  truncation_estimate is 0.0 because every sum runs to
+    underflow; beta_hat is infinite on the zero-temperature path.
     """
 
     E0_ren: float
@@ -114,6 +122,77 @@ class CasimirReport:
     beta_hat: float
     terms_used: int
     truncation_estimate: float
+
+
+def _kernel(bh: BetaHat, ctl: SeriesControl) -> tuple[float, float, float, float, int]:
+    """Brackets (g, f, s, w) of the thermal quantities from one series pass.
+
+        thermal_correction_exact = -Sp g/(32 pi Lp^3),
+        DeltaTF_ren = -Sp f/(32 pi Lp^3),  S_ren = Sp s/(16 pi Lp^2),
+        U_ren - E0_ren = Sp w/(16 pi Lp^3),
+
+    plus the number of terms.  One loop sums A = ce/m^3, B = se/m^2 and
+    C = (1 + ce) se/m at the series argument beta_hat (direct) or, when
+    beta_hat < 1, at u = 1/beta_hat (inverted); either way successive terms
+    shrink by at least e^(-2 pi) and at most 111 terms come before pi m s
+    passes 350.  Hitting ctl.m_max first raises TruncationError.  With
+    u = 1/beta_hat and f = g + zeta(3) u^3 - pi^3 u^4/45, direct:
+
+        g = A u^3 + pi B u^2
+        s = 3 (zeta(3) + A) u^2 + 3 pi B u + 2 pi^2 C - 4 pi^3 u^3/45
+        w = (zeta(3) + A) u^3 + pi B u^2 + pi^2 C u - pi^3 u^4/30
+
+    inverted, after the power terms cancel:
+
+        f = zeta(3) u - pi^3/45 + u A + pi u^2 B
+        s = zeta(3) + A + pi u B - 2 pi^2 u^2 C
+        w = pi^3/90 - pi^2 u^3 C
+    """
+    b = bh.value
+    if not (b > 0.0):
+        raise DomainError(f"beta_hat must be > 0, got {b}")
+    if math.isinf(b):
+        return 0.0, 0.0, 0.0, 0.0, 0
+    u = 1.0 / b
+    inverted = b < 1.0
+    arg = u if inverted else b
+    A = B = C = 0.0
+    for m in range(1, ctl.m_max + 1):
+        x = math.pi * m * arg
+        if x > _X_CUTOFF:
+            break
+        ce = 2.0 / math.expm1(2.0 * x)
+        se = ce * (ce + 2.0)
+        A += ce / m**3
+        B += se / m**2
+        C += (1.0 + ce) * se / m
+    else:
+        ratio = math.exp(-2.0 * math.pi * arg)
+        raise TruncationError(
+            f"hyperbolic series not converged after m_max={ctl.m_max} terms at beta_hat={b}",
+            partial_sum=A,
+            tail_estimate=ce / m**3 * ratio / (1.0 - ratio),
+            terms_used=ctl.m_max,
+        )
+    u2 = u * u
+    u3 = u2 * u
+    power = ZETA3 * u3 - _PI3 * u3 * u / 45.0
+    if inverted:
+        f = ZETA3 * u - _PI3 / 45.0 + u * A + math.pi * B * u2
+        s = ZETA3 + A + math.pi * B * u - 2.0 * _PI2 * C * u2
+        w = _PI3 / 90.0 - _PI2 * C * u3
+        return f - power, f, s, w, m - 1
+    g = A * u3 + math.pi * B * u2
+    s = 3.0 * (ZETA3 + A) * u2 + 3.0 * math.pi * B * u + 2.0 * _PI2 * C - 4.0 * _PI3 * u3 / 45.0
+    w = (ZETA3 + A) * u3 + math.pi * B * u2 + _PI2 * C * u - _PI3 * u3 * u / 30.0
+    return g, g + power, s, w, m - 1
+
+
+def _thermal_parts(frame: ProperFrame, bh: BetaHat, ctl: SeriesControl) -> tuple[float, float, float, int]:
+    """DeltaTF_ren, S_ren, U_ren - E0_ren and the terms of one series pass."""
+    _, f, s, w, terms = _kernel(bh, ctl)
+    scale = frame.Sp / (16.0 * math.pi * frame.Lp**2)
+    return -scale * f / (2.0 * frame.Lp), scale * s, scale * w / frame.Lp, terms
 
 
 def flat_casimir_density(Lp: float) -> float:
@@ -138,73 +217,11 @@ def vacuum_energy(frame: ProperFrame, params: KerrParams, orbit: EquatorialOrbit
 
 def beta_hat(frame: ProperFrame) -> BetaHat:
     """Series parameter 1/(2*Lp*Tp); infinite when the proper temperature is zero."""
-    if frame.Tp < 0.0:
+    if not (frame.Tp >= 0.0):
         raise DomainError(f"proper temperature must be >= 0, got Tp={frame.Tp}")
     if frame.Tp == 0.0:
         return BetaHat(value=math.inf)
     return BetaHat(value=1.0 / (2.0 * frame.Lp * frame.Tp))
-
-
-def _proper_temperature(frame: ProperFrame, bh: BetaHat) -> float:
-    """Proper temperature implied by beta_hat; zero when beta_hat is infinite."""
-    if math.isinf(bh.value):
-        return 0.0
-    return 1.0 / (2.0 * frame.Lp * bh.value)
-
-
-def _sum_exponential(
-    bh: BetaHat,
-    term: Callable[[int, float, float], float],
-    ctl: SeriesControl,
-) -> tuple[float, int, float]:
-    """Sum term(m, ce, se) over m >= 1, ce = coth(pi m bh) - 1, se = 1/sinh^2.
-
-    Every summand is positive and decays like e^(-2 pi m bh).  The loop
-    runs until the terms underflow to exact zeros and the collected terms
-    are combined with exact (fsum) accumulation, so the returned value is
-    correctly rounded and its absolute truncation error is zero; this
-    matters because downstream combinations cancel these sums against
-    large power terms at small bh.  The achieved relative truncation is
-    therefore below any admissible rel_tol.  Hitting m_max first raises
-    TruncationError.  Returns (sum, terms, omitted-tail bound).
-    """
-    b = bh.value
-    if b <= 0.0:
-        raise DomainError(f"beta_hat must be > 0, got {b}")
-    terms: list[float] = []
-    t = 0.0
-    for m in range(1, ctl.m_max + 1):
-        x = math.pi * m * b
-        if x > _X_CUTOFF:
-            return math.fsum(terms), len(terms), 0.0
-        ce = 2.0 / math.expm1(2.0 * x)
-        se = ce * (ce + 2.0)
-        t = term(m, ce, se)
-        if t == 0.0 or t < ctl.abs_tol:
-            return math.fsum(terms), len(terms), 0.0
-        terms.append(t)
-    ratio = math.exp(-2.0 * math.pi * b)
-    partial = math.fsum(terms)
-    raise TruncationError(
-        f"hyperbolic series not converged after m_max={ctl.m_max} terms "
-        f"at beta_hat={b}",
-        partial_sum=partial,
-        tail_estimate=t * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf,
-        terms_used=ctl.m_max,
-    )
-
-
-def _free_energy_exp_sum(bh: BetaHat, ctl: SeriesControl) -> tuple[float, int, float]:
-    """Exponential part of the free-energy sum: ce/(m bh)^3 + pi se/(m bh)^2."""
-    if math.isinf(bh.value):
-        return 0.0, 0, 0.0
-    b = bh.value
-
-    def term(m: int, ce: float, se: float) -> float:
-        mb = m * b
-        return ce / mb**3 + math.pi * se / mb**2
-
-    return _sum_exponential(bh, term, ctl)
 
 
 def thermal_correction_exact(frame: ProperFrame, bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> float:
@@ -216,37 +233,12 @@ def thermal_correction_exact(frame: ProperFrame, bh: BetaHat, ctl: SeriesControl
                                     + pi/((m bh)^2 sinh^2(pi m bh))]
         + zeta(3) Sp / (32 pi (Lp bh)^3);
 
-    the zeta(3) term cancels the power tail of the coth sum exactly, so the
-    whole expression equals -(Sp/(32 pi Lp^3)) times the exponentially
-    small remainder and vanishes like e^(-2 pi bh) at low temperature.
+    the zeta(3) term cancels the power tail of the coth sum, so for bh >= 1
+    it is -(Sp/(32 pi Lp^3)) (A/bh^3 + pi B/bh^2), exponentially small at
+    low temperature.  Below bh = 1 it is the inverted bracket f with the
+    quartic and cubic terms added back (see _kernel).
     """
-    e_sum, _, _ = _free_energy_exp_sum(bh, ctl)
-    return -frame.Sp / (32.0 * math.pi * frame.Lp**3) * e_sum
-
-
-def thermal_correction_resummed_form(
-    frame: ProperFrame, bh: BetaHat, ctl: SeriesControl = SeriesControl()
-) -> float:
-    """Algebraically equivalent single-sum form of the thermal correction.
-
-    -(Sp/(16 pi Lp^3)) * sum_m [(2 pi m bh + 1) e^(2 pi m bh) - 1]
-                               / [(e^(2 pi m bh) - 1)^2 (m bh)^3]
-
-    evaluated through decaying exponentials for overflow safety.  Kept as an
-    independent representation for cross-checks against the hyperbolic form.
-    """
-    if math.isinf(bh.value):
-        return -0.0
-    b = bh.value
-
-    def term(m: int, ce: float, se: float) -> float:
-        # [(z+1)e^z - 1]/(e^z - 1)^2 = ((z+1) - e^(-z)) e^(-z)/(1 - e^(-z))^2
-        z = 2.0 * math.pi * m * b
-        emz = math.exp(-z)
-        return ((z + 1.0) - emz) * emz / (1.0 - emz) ** 2 / (m * b) ** 3
-
-    total, _, _ = _sum_exponential(bh, term, ctl)
-    return -frame.Sp / (16.0 * math.pi * frame.Lp**3) * total
+    return -frame.Sp / (32.0 * math.pi * frame.Lp**3) * _kernel(bh, ctl)[0]
 
 
 def blackbody_density(Tp: float) -> float:
@@ -268,13 +260,7 @@ def renorm_thermal_correction(
     linearly, approaching -zeta(3) Sp Tp/(16 pi Lp^2) + pi^2 Sp/(1440 Lp^3)
     (the classical term is not among the subtracted ones).
     """
-    Tp = _proper_temperature(frame, bh)
-    e_sum, _, _ = _free_energy_exp_sum(bh, ctl)
-    power_tail = ZETA3 / bh.value**3 if not math.isinf(bh.value) else 0.0
-    prefactor = -frame.Sp / (32.0 * math.pi * frame.Lp**3)
-    return math.fsum(
-        (prefactor * e_sum, prefactor * power_tail, -frame.Vp * blackbody_density(Tp))
-    )
+    return _thermal_parts(frame, bh, ctl)[0]
 
 
 def total_free_energy(
@@ -289,30 +275,13 @@ def total_free_energy(
 
 
 def entropy(frame: ProperFrame, bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> float:
-    """Renormalized Casimir entropy -dF_ren/dTp in closed form.
+    """Renormalized Casimir entropy -dF_ren/dTp (k_B = 1): bracket s of _kernel.
 
-    (3 Sp/(16 pi Lp^2)) * { sum_m [coth(pi m bh)/(m^3 bh^2)
-                                   + pi/(m^2 bh sinh^2(pi m bh))
-                                   + 2 pi^2 coth(pi m bh)/(3 m sinh^2(pi m bh))]
-                            - 4 pi^3/(135 bh^3) }
-
-    with k_B = 1.  Vanishes at zero temperature (third law) and is positive
-    throughout the low-temperature regime.
+    Vanishes at zero temperature (third law), is positive throughout the
+    low-temperature regime and tends to zeta(3) Sp/(16 pi Lp^2) at high
+    temperature.
     """
-    if math.isinf(bh.value):
-        return 0.0
-    b = bh.value
-
-    def term(m: int, ce: float, se: float) -> float:
-        return (
-            ce / (m**3 * b**2)
-            + math.pi * se / (m**2 * b)
-            + (2.0 * math.pi**2 / 3.0) * (1.0 + ce) * se / m
-        )
-
-    e_sum, _, _ = _sum_exponential(bh, term, ctl)
-    braces = math.fsum((e_sum, ZETA3 / b**2, -4.0 * math.pi**3 / (135.0 * b**3)))
-    return 3.0 * frame.Sp / (16.0 * math.pi * frame.Lp**2) * braces
+    return _thermal_parts(frame, bh, ctl)[1]
 
 
 def internal_energy(
@@ -322,27 +291,12 @@ def internal_energy(
     bh: BetaHat,
     ctl: SeriesControl = SeriesControl(),
 ) -> float:
-    """Renormalized internal energy -Tp^2 d(F_ren/Tp)/dTp in closed form.
+    """Renormalized internal energy -Tp^2 d(F_ren/Tp)/dTp: E0_ren plus bracket w.
 
-    E0_ren + (Sp/(16 pi Lp^3)) * { sum_m [coth(pi m bh)/(m bh)^3
-                                          + pi/((m bh)^2 sinh^2(pi m bh))
-                                          + pi^2 coth(pi m bh)/(m bh sinh^2(pi m bh))]
-                                   - pi^3/(30 bh^4) }
-
-    Reduces to E0_ren at zero temperature.
+    Reduces to E0_ren at zero temperature and saturates at
+    E0_ren + pi^2 Sp/(1440 Lp^3) at high temperature.
     """
-    E0 = vacuum_energy(frame, params, orbit)
-    if math.isinf(bh.value):
-        return E0
-    b = bh.value
-
-    def term(m: int, ce: float, se: float) -> float:
-        mb = m * b
-        return ce / mb**3 + math.pi * se / mb**2 + math.pi**2 * (1.0 + ce) * se / mb
-
-    e_sum, _, _ = _sum_exponential(bh, term, ctl)
-    braces = math.fsum((e_sum, ZETA3 / b**3, -math.pi**3 / (30.0 * b**4)))
-    return E0 + frame.Sp / (16.0 * math.pi * frame.Lp**3) * braces
+    return vacuum_energy(frame, params, orbit) + _thermal_parts(frame, bh, ctl)[2]
 
 
 def casimir_report(
@@ -353,33 +307,23 @@ def casimir_report(
 ) -> CasimirReport:
     """Assemble every renormalized thermal quantity for one configuration.
 
-    Uses the proper temperature stored in the frame; Tp = 0 takes the exact
+    Uses the proper temperature stored in the frame.  F, S and U come from
+    one series pass: direct sums at beta_hat >= 1, inverted sums at
+    1/beta_hat below, at most 111 terms either way; terms_used counts that
+    pass and is 0 for beta_hat below about 0.009.  Tp = 0 takes the exact
     zero-temperature path (F = U = E0, S = 0, no series evaluation).
-    The convergence diagnostics describe the free-energy series.
     """
     bh = beta_hat(frame)
     E0 = vacuum_energy(frame, params, orbit)
-    Tp = frame.Tp
-    f_bb = blackbody_density(Tp)
-
-    e_sum, terms_used, tail = _free_energy_exp_sum(bh, ctl)
-    prefactor = -frame.Sp / (32.0 * math.pi * frame.Lp**3)
-    power_tail = ZETA3 / bh.value**3 if not math.isinf(bh.value) else 0.0
-    DeltaTF_ren = math.fsum(
-        (prefactor * e_sum, prefactor * power_tail, -frame.Vp * f_bb)
-    )
-    F_ren = E0 + DeltaTF_ren
-    S_ren = entropy(frame, bh, ctl)
-    U_ren = internal_energy(frame, params, orbit, bh, ctl)
-
+    DeltaTF_ren, S_ren, thermal_U, terms = _thermal_parts(frame, bh, ctl)
     return CasimirReport(
         E0_ren=E0,
         DeltaTF_ren=DeltaTF_ren,
-        F_ren=F_ren,
+        F_ren=E0 + DeltaTF_ren,
         S_ren=S_ren,
-        U_ren=U_ren,
-        f_bb=f_bb,
+        U_ren=E0 + thermal_U,
+        f_bb=blackbody_density(frame.Tp),
         beta_hat=bh.value,
-        terms_used=terms_used,
-        truncation_estimate=abs(prefactor) * tail,
+        terms_used=terms,
+        truncation_estimate=0.0,
     )

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +23,7 @@ from kerrcasimir import (
     records_to_jsonl,
     run_sweep,
 )
+from kerrcasimir import cli
 from kerrcasimir.cli import main
 from kerrcasimir.sweep import CSV_COLUMNS
 
@@ -78,6 +80,35 @@ class TestEvaluatePoint:
         statuses = [r.status for r in run_sweep(spec)]
         assert statuses[0] is PointStatus.OK
         assert statuses[-1] is PointStatus.INVALID_INPUT
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["T", "S0"])
+    def test_non_finite_input_is_invalid_input(self, field, value):
+        req = flat_request(T=1.0)
+        if field == "T":
+            req = replace(req, T=value)
+        else:
+            with pytest.raises(DomainError):
+                CavityGeometry(L=1.0, S0=value)
+            # A cavity that skipped its own check must not get through either.
+            object.__setattr__(req.cavity, "S0", value)
+        record = evaluate_point(req)
+        assert record.status is PointStatus.INVALID_INPUT
+        assert record.F_ren is None
+
+    @pytest.mark.parametrize("build", [
+        lambda v: KerrParams(M=v),
+        lambda v: KerrParams(M=1.0, a=v),
+        lambda v: EquatorialOrbit(r=v),
+        lambda v: EquatorialOrbit(r=10.0, Omega=v),
+        lambda v: CavityGeometry(L=v, S0=1.0),
+        lambda v: CavityGeometry(L=1.0, S0=v),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_dataclasses_reject_non_finite_fields(self, build, value):
+        with pytest.raises(DomainError):
+            build(value)
 
 
 class TestRunSweep:
@@ -149,6 +180,22 @@ class TestSerialization:
         assert row["status"] == "forbidden_orbit"
         assert row["F_ren"] == "" and row["C"] == ""
         assert float(row["M"]) == 0.0  # inputs are always present
+
+    @pytest.mark.parametrize("axis, start, stop", [(SweepAxis.R, 6.0, 20.0), (SweepAxis.L, 1e-3, 1e-2)])
+    def test_geometry_sweeps_serialize_plain_booleans(self, axis, start, stop):
+        params = KerrParams(M=1.0, a=0.5)
+        base = PointRequest(params=params,
+                            orbit=EquatorialOrbit(r=10.0, Omega=dragging_angular_velocity(params, 10.0)),
+                            cavity=CavityGeometry(L=0.01, S0=1e-4), T=1.0)
+        spec = SweepSpec(axis=axis, start=start, stop=stop, count=4, scale="log", base=base)
+        assert all(type(v) is float for v in spec.grid())
+        records = run_sweep(spec)
+        assert all(r.status is PointStatus.OK for r in records)
+        rows = list(csv.DictReader(io.StringIO(records_to_csv(records))))
+        assert all(row["small_cavity_ok"] in ("true", "false") for row in rows)
+        lines = records_to_jsonl(records).splitlines()
+        assert len(lines) == 4
+        assert all(json.loads(line)["small_cavity_ok"] in (True, False) for line in lines)
 
     def test_jsonl_matches_schema(self):
         rec = evaluate_point(flat_request(T=1.0))
@@ -237,6 +284,24 @@ class TestCli:
     def test_bad_config_key_exits_2(self, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("masss=1\n")
+        assert main(["point", "--config", str(config)]) == 2
+
+    def test_validate_config_accepts_its_own_keys(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "validate.cfg"
+        config.write_text("fd_step=2e-5\nquad-points=150\nn_max=50000\n")
+        seen = []
+
+        def fake_checks(cfg):
+            seen.append(cfg)
+            return [{"name": "stub", "measured": 0.0, "tolerance": 1.0, "passed": True, "detail": ""}]
+
+        monkeypatch.setattr(cli, "validation_checks", fake_checks)
+        assert main(["validate", "--config", str(config)]) == 0
+        assert (seen[0].fd_step, seen[0].quad_points, seen[0].n_max) == (2e-5, 150, 50000)
+        # Keys are typed and checked as the flags are.
+        config.write_text("quad_points=many\n")
+        assert main(["validate", "--config", str(config)]) == 2
+        config.write_text("format=xml\n")
         assert main(["point", "--config", str(config)]) == 2
 
     def test_validate_passes_and_writes_json(self, tmp_path, capsys):

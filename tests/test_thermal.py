@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import pytest
 
 from kerrcasimir import (
@@ -11,6 +12,8 @@ from kerrcasimir import (
     DomainError,
     EquatorialOrbit,
     KerrParams,
+    PointRequest,
+    PointStatus,
     ProperFrame,
     SeriesControl,
     TruncationError,
@@ -20,6 +23,7 @@ from kerrcasimir import (
     casimir_report,
     double_sum_free_energy,
     entropy,
+    evaluate_point,
     flat_casimir_density,
     internal_energy,
     orbit_from_band_fraction,
@@ -292,3 +296,89 @@ class TestCasimirReport:
             SeriesControl(rel_tol=0.0)
         with pytest.raises(DomainError):
             SeriesControl(m_max=0)
+
+
+# beta_hat from deep high temperature to deep low temperature, with the
+# switch between the inverted (< 1) and direct (>= 1) series at 1.
+KERNEL_GRID = (1e-8, 1e-5, 1e-3, 0.01, 0.1, 0.5, 0.999, 1.0, 2.0, 10.0, 100.0, 1e4, 1e8)
+
+
+def mp_reference(Lp, Sp, E0, b):
+    """F_ren, S_ren, U_ren at 40 digits, independent of the inversion.
+
+    For b >= 1e-3 the direct hyperbolic sums are taken at b itself, with
+    about 11/b terms (the first omitted one is e^(-69) of the leading
+    term), and the power terms are cancelled in 40-digit arithmetic.
+    Below that the high-temperature power form is exact up to
+    e^(-2 pi/b) < e^(-6000).
+    """
+    with mpmath.workdps(40):
+        Lp, Sp, E0, b = (mpmath.mpf(v) for v in (Lp, Sp, E0, b))
+        pi, z3, u = mpmath.pi, mpmath.zeta(3), 1 / b
+        if b >= mpmath.mpf("1e-3"):
+            A = B = C = mpmath.mpf(0)
+            for m in range(1, int(11 / b) + 2):
+                e = mpmath.exp(-2 * pi * m * b)
+                ce = 2 * e / (1 - e)
+                se = ce * (ce + 2)
+                A += ce / m**3
+                B += se / m**2
+                C += (1 + ce) * se / m
+            f = (z3 + A) * u**3 + pi * B * u**2 - pi**3 * u**4 / 45
+            s = 3 * (z3 + A) * u**2 + 3 * pi * B * u + 2 * pi**2 * C - 4 * pi**3 * u**3 / 45
+            w = (z3 + A) * u**3 + pi * B * u**2 + pi**2 * C * u - pi**3 * u**4 / 30
+        else:
+            f, s, w = z3 * u - pi**3 / 45, z3, pi**3 / 90
+        k = Sp / (16 * pi * Lp**2)
+        return float(E0 - k * f / (2 * Lp)), float(k * s), float(E0 + k * w / Lp)
+
+
+def kerr_report_at(config, b):
+    params, orbit, cavity = config
+    frame0 = proper_frame(params, orbit, cavity)
+    frame = replace(frame0, Tp=1.0 / (2.0 * frame0.Lp * b))
+    return frame, casimir_report(frame, params, orbit)
+
+
+class TestOnePassKernel:
+    @pytest.mark.parametrize("b", KERNEL_GRID)
+    def test_matches_40_digit_reference(self, kerr_zamo, b):
+        frame, report = kerr_report_at(kerr_zamo, b)
+        F, S, U = mp_reference(frame.Lp, frame.Sp, report.E0_ren, report.beta_hat)
+        assert abs(report.F_ren - F) <= 1e-14 * abs(F)
+        assert abs(report.S_ren - S) <= 1e-14 * abs(S)
+        # U_ren tends to zero at high temperature on a ZAMO cavity, so its
+        # error is measured against the vacuum energy it cancels.
+        assert abs(report.U_ren - U) <= 1e-14 * max(abs(U), abs(report.E0_ren))
+
+    def test_continuous_across_representation_switch(self, kerr_zamo):
+        params, orbit, cavity = kerr_zamo
+        frame = proper_frame(params, orbit, cavity, T=1.0)
+        below, at, above = (BetaHat(v) for v in (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)))
+        E0 = abs(vacuum_energy(frame, params, orbit))
+        quantities = (
+            (lambda bh: total_free_energy(frame, params, orbit, bh), 0.0),
+            (lambda bh: entropy(frame, bh), 0.0),
+            (lambda bh: internal_energy(frame, params, orbit, bh), E0),
+        )
+        for q, floor in quantities:
+            for x, y in ((q(below), q(at)), (q(at), q(above))):
+                assert abs(x - y) <= 1e-14 * max(abs(x), floor)
+
+    def test_legendre_identity_and_bounded_terms_at_every_temperature(self, kerr_zamo):
+        for i in range(65):
+            b = 10.0 ** (-8.0 + 0.25 * i)
+            frame, report = kerr_report_at(kerr_zamo, b)
+            F, S, U = report.F_ren, report.S_ren, report.U_ren
+            assert abs(U - (F + frame.Tp * S)) <= 1e-12 * max(abs(U), abs(F))
+            assert report.terms_used <= 111
+            if b < 0.0089:  # e^(-2 pi / b) underflows before the first term
+                assert report.terms_used == 0
+
+    def test_high_temperature_point_is_ok(self, kerr_zamo):
+        params, orbit, cavity = kerr_zamo
+        record = evaluate_point(PointRequest(params=params, orbit=orbit, cavity=cavity, T=1e6))
+        assert record.status is PointStatus.OK
+        assert record.beta_hat < 1e-4
+        assert record.terms_used == 0
+        assert all(math.isfinite(v) for v in (record.F_ren, record.S_ren, record.U_ren))
