@@ -1,10 +1,12 @@
 """Command-line front end: point evaluation, sweeps and oracle validation.
 
-Exit codes: 0 success, 1 validation failure, 2 invalid input.  A config
-file of plain ``key=value`` lines may set defaults for any flag of the
-subcommand it is given to (keys are the long flag names, with ``-`` or
-``_`` interchangeable, typed and checked as the flags are); explicit
-flags always win.
+Exit codes: 0 success, 1 validation failure, 2 invalid input.  ``point``
+exits 2 when its record is not ``ok``, and ``sweep`` when none of its
+records is; the records are written either way.  A config file of plain
+``key=value`` lines may set defaults for any flag of the subcommand it is
+given to, required ones included (keys are the long flag names, with
+``-`` or ``_`` interchangeable, typed and checked as the flags are);
+explicit flags always win.
 """
 
 from __future__ import annotations
@@ -127,13 +129,22 @@ def _load_config(path: str, sub: argparse.ArgumentParser) -> dict:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
-    """Parse once to find --config, fold its values in as defaults, re-parse."""
-    args = parser.parse_args(argv)
-    config_path = getattr(args, "config", None)
-    if not config_path:
-        return args
-    sub = parser.subcommand_parsers[args.command]
-    sub.set_defaults(**_load_config(config_path, sub))
+    """Find --config, fold its values in as subcommand defaults, then parse once.
+
+    argparse's required check ignores defaults, so every flag the file sets
+    stops being required; the command-line flags still win.
+    """
+    sub = parser.subcommand_parsers.get(argv[0]) if argv else None
+    if sub is not None:
+        finder = argparse.ArgumentParser(add_help=False)
+        finder.add_argument("--config")
+        config_path = finder.parse_known_args(argv[1:])[0].config
+        if config_path:
+            defaults = _load_config(config_path, sub)
+            for action in sub._actions:
+                if action.dest in defaults:
+                    action.required = False
+            sub.set_defaults(**defaults)
     return parser.parse_args(argv)
 
 
@@ -168,7 +179,10 @@ def _cmd_point(args: argparse.Namespace) -> int:
     record = evaluate_point(_build_request(args))
     text = records_to_csv([record]) if args.format == "csv" else records_to_jsonl([record])
     _emit(text, args.output)
-    return 0 if record.status is PointStatus.OK else 2
+    if record.status is not PointStatus.OK:
+        print(f"kerrcasimir: point status {record.status.value}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -183,6 +197,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     records = run_sweep(spec, parallelism=args.parallelism)
     text = records_to_csv(records) if args.format == "csv" else records_to_jsonl(records)
     _emit(text, args.output)
+    if not any(rec.status is PointStatus.OK for rec in records):
+        print(f"kerrcasimir: none of the {len(records)} sweep points is ok", file=sys.stderr)
+        return 2
     return 0
 
 

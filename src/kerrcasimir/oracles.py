@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.integrate import quad
-
 from .errors import DomainError, FDStepError, QuadratureError, TruncationError
 from .geometry import (
     CavityGeometry,
@@ -181,6 +179,8 @@ def quadrature_free_energy(
     float64 zero beyond).  With ``full_output`` a diagnostics dict with the
     number of n terms, the cutoff and the analytic tail bound is returned.
     """
+    from scipy.integrate import quad  # here, so importing the package skips scipy
+
     b = bh.value
     if not (b > 0.0):
         raise DomainError(f"beta_hat must be > 0, got {b}")
@@ -238,6 +238,8 @@ def blackbody_quadrature(Tp: float, cfg: OracleConfig = OracleConfig()) -> float
     (Tp^4/(2 pi^2)) int_0^inf u^2 ln(1 - e^(-u)) du, which evaluates to
     -pi^2 Tp^4 / 90.
     """
+    from scipy.integrate import quad  # here, so importing the package skips scipy
+
     if not (Tp > 0.0):
         raise DomainError(f"proper temperature must be > 0, got Tp={Tp}")
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .errors import (
     DomainError,
     ForbiddenOrbitError,
@@ -47,6 +45,11 @@ __all__ = [
     "records_to_jsonl",
     "CSV_COLUMNS",
 ]
+
+
+# Relative Legendre residual |U - (F + Tp*S)| / max(|U|, |F|) every ok record
+# meets; in the float range the closed forms stay below 1e-12.
+_IDENTITY_TOL = 1e-9
 
 
 class PointStatus(str, Enum):
@@ -102,10 +105,21 @@ class SweepSpec:
             raise DomainError("log scale requires start > 0")
 
     def grid(self) -> list[float]:
-        """Axis values as Python floats, so derived fields stay plain Python types."""
+        """Axis values as Python floats, with start and stop exactly at the ends.
+
+        The linear grid is ``np.linspace``'s formula, bit for bit.  The log
+        grid is start**(1 - t) * stop**t with t = i/(count - 1): within a few
+        ulps of the exact geometric grid (``np.geomspace`` agrees to 1e-13),
+        and it cannot overflow the way start * (stop/start)**t does when
+        stop/start exceeds the float range.
+        """
+        n = self.count - 1
         if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.count).tolist()
-        return np.linspace(self.start, self.stop, self.count).tolist()
+            inner = [self.start ** (1.0 - i / n) * self.stop ** (i / n) for i in range(1, n)]
+        else:
+            step = (self.stop - self.start) / n
+            inner = [self.start + i * step for i in range(1, n)]
+        return [float(self.start), *inner, float(self.stop)]
 
     def request_at(self, value: float) -> PointRequest:
         """Base request with the axis value substituted; may raise DomainError
@@ -195,27 +209,36 @@ def _inputs(req: PointRequest) -> dict:
 
 
 def evaluate_point(req: PointRequest) -> OutputRecord:
-    """Evaluate one configuration; never raises, failures become statuses."""
+    """Evaluate one configuration; never raises, failures become statuses.
+
+    Finite inputs whose results leave the float range (a power such as
+    Tp**4 overflowing, Lp**4 underflowing to zero, an infinite F, S or U,
+    or subnormal intermediates that break U = F + Tp*S beyond _IDENTITY_TOL)
+    are invalid_input, so an ok record always carries finite numbers that
+    satisfy the Legendre identity.
+    """
     base = _inputs(req)
     try:
         frame = proper_frame(req.params, req.orbit, req.cavity, req.T)
         report = casimir_report(frame, req.params, req.orbit, req.control)
         validity = cavity_validity(req.params, req.orbit, req.cavity)
+        if frame.Tp > 0.0:
+            identity_residual = abs(
+                report.U_ren - (report.F_ren + frame.Tp * report.S_ren)
+            ) / max(abs(report.U_ren), abs(report.F_ren))
+        else:
+            identity_residual = 0.0
     except ForbiddenOrbitError:
         return OutputRecord(**base, status=PointStatus.FORBIDDEN_ORBIT)
     except InsideHorizonError:
         return OutputRecord(**base, status=PointStatus.INSIDE_HORIZON)
     except TruncationError:
         return OutputRecord(**base, status=PointStatus.TRUNCATION_ERROR)
-    except (NakedSingularityError, DomainError):
+    except (NakedSingularityError, DomainError, OverflowError, ZeroDivisionError):
         return OutputRecord(**base, status=PointStatus.INVALID_INPUT)
-
-    if frame.Tp > 0.0:
-        identity_residual = abs(
-            report.U_ren - (report.F_ren + frame.Tp * report.S_ren)
-        ) / max(abs(report.U_ren), abs(report.F_ren))
-    else:
-        identity_residual = 0.0
+    finite = all(map(math.isfinite, (report.F_ren, report.S_ren, report.U_ren)))
+    if not (finite and identity_residual <= _IDENTITY_TOL):
+        return OutputRecord(**base, status=PointStatus.INVALID_INPUT)
 
     return OutputRecord(
         **base,

@@ -216,12 +216,14 @@ def vacuum_energy(frame: ProperFrame, params: KerrParams, orbit: EquatorialOrbit
 
 
 def beta_hat(frame: ProperFrame) -> BetaHat:
-    """Series parameter 1/(2*Lp*Tp); infinite when the proper temperature is zero."""
+    """Series parameter 1/(2*Lp*Tp); infinite when the proper temperature is
+    zero or so small that 2*Lp*Tp underflows."""
     if not (frame.Tp >= 0.0):
         raise DomainError(f"proper temperature must be >= 0, got Tp={frame.Tp}")
-    if frame.Tp == 0.0:
+    denominator = 2.0 * frame.Lp * frame.Tp
+    if denominator == 0.0:  # Tp = 0, or a product below the float range
         return BetaHat(value=math.inf)
-    return BetaHat(value=1.0 / (2.0 * frame.Lp * frame.Tp))
+    return BetaHat(value=1.0 / denominator)
 
 
 def thermal_correction_exact(frame: ProperFrame, bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> float:

@@ -4,9 +4,15 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrcasimir import (
     CavityGeometry,
@@ -32,6 +38,17 @@ def flat_request(T=0.0, L=1.0, S0=1.0):
     return PointRequest(
         params=KerrParams(M=0.0, a=0.0),
         orbit=EquatorialOrbit(r=10.0, Omega=0.0),
+        cavity=CavityGeometry(L=L, S0=S0),
+        T=T,
+    )
+
+
+def kerr_request(T=1.0, L=0.01, S0=1e-4):
+    """Base configuration: M=1, a=0.5, r=10, ZAMO orbit, small cavity."""
+    params = KerrParams(M=1.0, a=0.5)
+    return PointRequest(
+        params=params,
+        orbit=EquatorialOrbit(r=10.0, Omega=dragging_angular_velocity(params, 10.0)),
         cavity=CavityGeometry(L=L, S0=S0),
         T=T,
     )
@@ -97,6 +114,46 @@ class TestEvaluatePoint:
         assert record.status is PointStatus.INVALID_INPUT
         assert record.F_ren is None
 
+    @pytest.mark.parametrize("T, L, S0", [
+        (1e80, 0.01, 1e-4),   # Tp**4 overflows
+        (1e300, 0.01, 1e-4),
+        (1.0, 1e200, 1e-4),   # Lp**4 overflows
+        (1.0, 1e-90, 1e-4),   # Lp**4 underflows to zero
+        (1.0, 1e-30, 1e300),  # F, S and U leave the float range
+        (1.0, 0.01, 5e-324),  # F and U underflow to zero
+        (5.0, 113016259090188.0, 4.807000776901445e-286),  # subnormal F, S: U != F + Tp*S
+    ])
+    def test_results_beyond_the_float_range_are_invalid_input(self, T, L, S0):
+        record = evaluate_point(kerr_request(T=T, L=L, S0=S0))
+        assert record.status is PointStatus.INVALID_INPUT
+        assert record.F_ren is None and record.identity_residual is None
+
+    def test_temperature_below_the_float_range_is_zero_temperature(self):
+        record = evaluate_point(kerr_request(T=5e-324))
+        assert record.status is PointStatus.OK
+        assert record.F_ren == record.U_ren == record.E0_ren
+        assert record.S_ren == 0.0
+
+    @given(T=st.floats(), L=st.floats(), S0=st.floats())
+    @settings(max_examples=300, deadline=1000)  # ms: a point costs <= 111 terms
+    def test_any_float_input_yields_a_finite_record(self, T, L, S0):
+        try:
+            cavity = CavityGeometry(L=L, S0=S0)
+        except DomainError:
+            # A cavity that skipped its own check must not get through either.
+            cavity = object.__new__(CavityGeometry)
+            object.__setattr__(cavity, "L", L)
+            object.__setattr__(cavity, "S0", S0)
+        record = evaluate_point(replace(kerr_request(), cavity=cavity, T=T))
+        assert isinstance(record.status, PointStatus)
+        if record.status is not PointStatus.OK:
+            assert record.F_ren is None
+            return
+        F, S, U = record.F_ren, record.S_ren, record.U_ren
+        assert all(math.isfinite(x) for x in (F, S, U))
+        assert abs(U - (F + record.Tp * S)) <= 1e-9 * max(abs(U), abs(F))
+        assert record.identity_residual <= 1e-9
+
     @pytest.mark.parametrize("build", [
         lambda v: KerrParams(M=v),
         lambda v: KerrParams(M=1.0, a=v),
@@ -140,6 +197,21 @@ class TestRunSweep:
         serial = records_to_csv(run_sweep(spec, parallelism=1))
         parallel = records_to_csv(run_sweep(spec, parallelism=workers))
         assert serial == parallel
+
+    @pytest.mark.parametrize("start, stop, count", [
+        (0.01, 10.0, 5), (1e-5, 1e3, 9), (3.0, 300.0, 1024), (1e-3, 1e-2, 4),
+        (0.7, 0.7000001, 50), (1e-300, 1e300, 101),
+    ])
+    def test_grid_matches_numpy(self, start, stop, count):
+        linear = SweepSpec(axis=SweepAxis.T, start=start, stop=stop, count=count,
+                           base=flat_request()).grid()
+        log = SweepSpec(axis=SweepAxis.T, start=start, stop=stop, count=count,
+                        scale="log", base=flat_request()).grid()
+        assert linear == np.linspace(start, stop, count).tolist()
+        assert all(type(v) is float for v in linear + log)
+        assert len(log) == count and log[0] == start and log[-1] == stop
+        assert all(a < b for a, b in zip(log, log[1:]))
+        assert log == pytest.approx(np.geomspace(start, stop, count).tolist(), rel=1e-13, abs=0.0)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
@@ -281,6 +353,43 @@ class TestCli:
         row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert float(row["T"]) == 3.0
 
+    def test_point_beyond_the_float_range_exits_2(self, capsys):
+        assert main(["point", "--mass", "1", "--spin", "0.5", "--temperature", "1e80"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid_input" in captured.err
+        assert next(csv.DictReader(io.StringIO(captured.out)))["status"] == "invalid_input"
+
+    def test_sweep_with_no_ok_point_exits_2(self, capsys):
+        args = ["sweep", "--mass", "1", "--axis", "r", "--start", "0.5", "--stop", "1.5",
+                "--count", "3"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [row["status"] for row in rows] == ["inside_horizon"] * 3
+        assert "none of the 3 sweep points is ok" in captured.err
+        # One ok point is enough for success.
+        assert main(args[:-4] + ["--stop", "2.5", "--count", "3"]) == 0
+
+    def test_sweep_config_supplies_required_flags(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("mass=0\nomega=0\naxis=T\nstart=0.1\nstop=1\ncount=3\n")
+        assert main(["sweep", "--config", str(config)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [float(row["T"]) for row in rows] == [0.1, 0.55, 1.0]
+        # Explicit flags still win over the file.
+        assert main(["sweep", "--config", str(config), "--stop", "2", "--axis", "L",
+                     "--start", "0.5"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [float(row["L"]) for row in rows] == [0.5, 1.25, 2.0]
+
+    def test_sweep_config_without_required_flags_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("mass=0\nomega=0\naxis=T\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(config)])
+        assert exc.value.code == 2
+        assert "--start, --stop" in capsys.readouterr().err
+
     def test_bad_config_key_exits_2(self, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("masss=1\n")
@@ -319,3 +428,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 1
         assert "TruncationError" in out
+
+
+def test_cli_imports_neither_scipy_nor_numpy():
+    """Point and sweep runs, start-up included, stay off scipy and numpy."""
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import kerrcasimir, kerrcasimir.cli as cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["point", "--spin", "0.5", "--temperature", "1"]) == 0
+            assert cli.main(["sweep", "--axis", "T", "--scale", "log",
+                             "--start", "0.01", "--stop", "100", "--count", "5"]) == 0
+        print(sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "numpy"}))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
