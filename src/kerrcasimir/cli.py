@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 validation failure, 2 invalid input.  ``point``
 exits 2 when its record is not ``ok``, and ``sweep`` when none of its
-records is; the records are written either way.  A config file of plain
+records is; the records are written either way.  An output file that
+cannot be written (``--output`` in a missing directory, say) also exits 2,
+with a one-line reason on stderr.  A config file of plain
 ``key=value`` lines may set defaults for any flag of the subcommand it is
 given to, required ones included (keys are the long flag names, with
 ``-`` or ``_`` interchangeable, typed and checked as the flags are);
@@ -242,7 +244,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_validate(args)
-    except (DomainError, NakedSingularityError, InsideHorizonError, ForbiddenOrbitError, ValueError) as exc:
+    except (DomainError, NakedSingularityError, InsideHorizonError, ForbiddenOrbitError,
+            ValueError, OSError) as exc:
         print(f"kerrcasimir: {exc}", file=sys.stderr)
         return 2
 

@@ -6,11 +6,18 @@ sum over mode and Matsubara-like indices, direct numerical quadrature of
 the mode-sum integral before any resummation, a momentum-space quadrature
 for the black-body density, and centered finite differences for the
 thermodynamic derivatives.  They are slow and simple on purpose.
+
+Both quadratures use the adaptive 21-point Gauss-Kronrod rule defined here,
+a port of the rule ``scipy.integrate.quad`` runs (QUADPACK), so the package
+needs no third-party module at run time.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, FDStepError, QuadratureError, TruncationError
@@ -46,6 +53,11 @@ __all__ = [
 # Exponential arguments beyond this are numerically zero in float64.
 _EXP_CUTOFF = 700.0
 
+# Both quadratures split their interval where the exponent z exceeds its
+# smallest value by this much: e^(-32) ~ 1e-14, so the first piece holds the
+# integral and the adaptive rule does not bisect its way down from 700.
+_SPLIT_DZ = 32.0
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -65,6 +77,115 @@ class OracleConfig:
             raise DomainError(f"fd_step must be > 0, got {self.fd_step}")
         if not (self.rel_tol > 0.0):
             raise DomainError(f"rel_tol must be > 0, got {self.rel_tol}")
+
+
+# QUADPACK's 21-point Gauss-Kronrod pair (dqk21; Piessens, de Doncker-Kapenga,
+# Ueberhuber & Kahaner, QUADPACK, Springer 1983): the Kronrod abscissae x >= 0
+# in descending order, their weights, and the weights of the 10-point Gauss
+# rule, whose abscissae are _XGK[1], _XGK[3], ..., _XGK[9].
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+# The same pair spread over [-1, 1] in ascending order, so that one
+# integrand call takes all 21 abscissae; the Gauss ones sit at odd positions.
+_GK21_NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
+_GK21_KRONROD = _WGK[:-1] + _WGK[::-1]
+_GK21_GAUSS = _WG + _WG[::-1]
+
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+
+
+def _gk21(f, a: float, b: float) -> tuple[float, float]:
+    """One 21-point Gauss-Kronrod step on [a, b]: (integral, error estimate).
+
+    ``f`` maps the list of the 21 abscissae to the list of integrand values.
+    The error estimate is QUADPACK's: resasc * min(1, (200 |K - G|/resasc)^1.5),
+    floored at 50 ulp of the integral of |f|.
+    """
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fv = f([centr + hlgth * x for x in _GK21_NODES])
+    resk = sum(map(operator.mul, _GK21_KRONROD, fv))
+    resg = sum(map(operator.mul, _GK21_GAUSS, fv[1::2]))
+    reskh = 0.5 * resk
+    dhlgth = abs(hlgth)
+    resasc = dhlgth * sum(map(operator.mul, _GK21_KRONROD, [abs(v - reskh) for v in fv]))
+    result = resk * hlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    # resabs <= resasc + |result|, so the floor can bind only below this.
+    if abserr < 50.0 * _EPMACH * (resasc + abs(result)):
+        resabs = dhlgth * sum(map(operator.mul, _GK21_KRONROD, map(abs, fv)))
+        if resabs > _UFLOW / (50.0 * _EPMACH):
+            abserr = max(50.0 * _EPMACH * resabs, abserr)
+    return result, abserr
+
+
+def _adaptive_gk21(f, points, epsrel: float, limit: int, what: str) -> float:
+    """Integral of ``f`` over [points[0], points[-1]] to relative accuracy ``epsrel``.
+
+    Globally adaptive like QUADPACK's qag (qagp with break points): each
+    interval between consecutive ``points`` gets one 21-point step, then the
+    subinterval with the largest error estimate is bisected until the summed
+    estimate is at most epsrel times the summed integral.  Needing more than
+    ``limit`` subintervals raises QuadratureError, with ``what`` naming the
+    integral.
+    """
+    heap = []
+    for lo, hi in zip(points, points[1:]):
+        r, e = _gk21(f, lo, hi)
+        heap.append((-e, lo, hi, r))
+    heapq.heapify(heap)
+    area = sum(item[3] for item in heap)
+    errsum = -sum(item[0] for item in heap)
+    while errsum > epsrel * abs(area):
+        if len(heap) >= limit:
+            raise QuadratureError(
+                f"{what}: error estimate {errsum:.1e} exceeds {epsrel:.0e} * |{area:.1e}| "
+                f"with all {limit} subintervals (quad_points) used"
+            )
+        neg_err, lo, hi, r = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        r1, e1 = _gk21(f, lo, mid)
+        r2, e2 = _gk21(f, mid, hi)
+        area += r1 + r2 - r
+        errsum += e1 + e2 + neg_err
+        heapq.heappush(heap, (-e1, lo, mid, r1))
+        heapq.heappush(heap, (-e2, mid, hi, r2))
+    return math.fsum(item[3] for item in heap)
 
 
 def double_sum_free_energy(
@@ -174,13 +295,17 @@ def quadrature_free_energy(
 
         (pi Sp/(4 Lp^3 bh)) * sum_n int_0^inf t ln(1 - e^(-2 pi bh sqrt(n^2 + t^2))) dt,
 
-    evaluated with adaptive quadrature on the semi-infinite axis, cut off
-    where the exponential argument reaches 700 (the integrand is an exact
-    float64 zero beyond).  With ``full_output`` a diagnostics dict with the
-    number of n terms, the cutoff and the analytic tail bound is returned.
+    each transverse integral taken on the finite axis up to where the
+    exponential argument reaches 700 (the integrand is an exact float64 zero
+    beyond) by the adaptive 21-point Gauss-Kronrod rule of this module, to
+    relative accuracy max(cfg.rel_tol, 1e-13) within cfg.quad_points
+    subintervals, with a break point where the argument has grown by 32
+    from its value at t = 0.  The n sum stops at the first term below
+    cfg.rel_tol times the partial sum.  With ``full_output`` a diagnostics
+    dict with the number of n terms, the cutoff and the analytic tail bound
+    is returned.  Raises QuadratureError when a transverse integral needs
+    more subintervals, or the n sum more than cfg.n_max terms.
     """
-    from scipy.integrate import quad  # here, so importing the package skips scipy
-
     b = bh.value
     if not (b > 0.0):
         raise DomainError(f"beta_hat must be > 0, got {b}")
@@ -189,12 +314,7 @@ def quadrature_free_energy(
         return (result, {"n_used": 0, "t_cutoff": 0.0, "tail_estimate": 0.0}) if full_output else result
     two_pi_b = 2.0 * math.pi * b
     r_cut = _EXP_CUTOFF / two_pi_b  # radius where exp(-2 pi b rho) underflows
-
-    def integrand(t: float, n: int) -> float:
-        z = two_pi_b * math.hypot(n, t)
-        if z > _EXP_CUTOFF:
-            return 0.0
-        return t * math.log1p(-math.exp(-z))
+    epsrel = max(cfg.rel_tol, 1e-13)
 
     total = 0.0
     n_used = 0
@@ -203,20 +323,20 @@ def quadrature_free_energy(
         if n >= r_cut:
             break
         t_cut = math.sqrt(r_cut * r_cut - n * n)
-        val, abserr, info, *message = quad(
-            integrand,
-            0.0,
-            t_cut,
-            args=(n,),
-            epsabs=0.0,
-            epsrel=max(cfg.rel_tol, 1e-13),
-            limit=cfg.quad_points,
-            full_output=1,
+
+        def integrand(ts: list[float], n: int = n) -> list[float]:
+            out = []
+            for t in ts:
+                z = two_pi_b * math.hypot(n, t)
+                out.append(0.0 if z > _EXP_CUTOFF else t * math.log1p(-math.exp(-z)))
+            return out
+
+        rho = n + _SPLIT_DZ / two_pi_b
+        points = (0.0, math.sqrt(rho * rho - n * n), t_cut) if rho < r_cut else (0.0, t_cut)
+        val = _adaptive_gk21(
+            integrand, points, epsrel, cfg.quad_points,
+            f"transverse quadrature for n={n} at beta_hat={b}",
         )
-        if message:
-            raise QuadratureError(
-                f"transverse quadrature failed for n={n} at beta_hat={b}: {message[0]}"
-            )
         total += val
         n_used = n
         if abs(val) <= cfg.rel_tol * abs(total):
@@ -236,24 +356,22 @@ def blackbody_quadrature(Tp: float, cfg: OracleConfig = OracleConfig()) -> float
 
     In the rescaled momentum u = k/Tp the density is
     (Tp^4/(2 pi^2)) int_0^inf u^2 ln(1 - e^(-u)) du, which evaluates to
-    -pi^2 Tp^4 / 90.
+    -pi^2 Tp^4 / 90.  The integral is taken on [0, 700], with a break point
+    at u = 32, by the adaptive 21-point Gauss-Kronrod rule of this module to
+    relative accuracy 1e-10; needing more than cfg.quad_points subintervals
+    raises QuadratureError.
     """
-    from scipy.integrate import quad  # here, so importing the package skips scipy
-
     if not (Tp > 0.0):
         raise DomainError(f"proper temperature must be > 0, got Tp={Tp}")
 
-    def integrand(u: float) -> float:
-        if u <= 0.0 or u > _EXP_CUTOFF:
-            return 0.0
-        return u * u * math.log1p(-math.exp(-u))
+    def integrand(us: list[float]) -> list[float]:
+        return [
+            0.0 if u <= 0.0 or u > _EXP_CUTOFF else u * u * math.log1p(-math.exp(-u))
+            for u in us
+        ]
 
-    val, abserr, info, *message = quad(
-        integrand, 0.0, _EXP_CUTOFF, epsabs=0.0, epsrel=1e-10,
-        limit=cfg.quad_points, full_output=1,
-    )
-    if message:
-        raise QuadratureError(f"black-body quadrature failed: {message[0]}")
+    val = _adaptive_gk21(integrand, (0.0, _SPLIT_DZ, _EXP_CUTOFF), 1e-10, cfg.quad_points,
+                         "black-body quadrature")
     return Tp**4 / (2.0 * math.pi**2) * val
 
 

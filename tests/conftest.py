@@ -1,6 +1,8 @@
 """Shared configurations for the test suite."""
 
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,15 @@ from kerrcasimir import (
     orbit_from_band_fraction,
     proper_frame,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def subprocesses_import_this_checkout():
+    """Tests that start a fresh interpreter get this checkout's src/ on its path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"),
+                  prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture

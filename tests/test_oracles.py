@@ -13,6 +13,7 @@ from kerrcasimir import (
     KerrParams,
     EquatorialOrbit,
     OracleConfig,
+    QuadratureError,
     TruncationError,
     blackbody_density,
     blackbody_quadrature,
@@ -24,6 +25,8 @@ from kerrcasimir import (
     thermal_correction_exact,
     validation_checks,
 )
+from kerrcasimir import oracles
+from kerrcasimir.cli import main
 
 FLAT = KerrParams(M=0.0, a=0.0)
 STATIC = EquatorialOrbit(r=10.0, Omega=0.0)
@@ -169,3 +172,72 @@ class TestValidationSuite:
         failed = [c for c in checks if not c["passed"]]
         assert failed, "expected the starved double sum to fail"
         assert any("TruncationError" in c["detail"] for c in failed)
+
+
+class TestGaussKronrod:
+    """The in-package 21-point Gauss-Kronrod rule behind both quadratures."""
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 1.0), (0.5, 3.0)])
+    def test_table_integrates_polynomials_exactly(self, a, b):
+        centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+        abscissae = [centr + hlgth * x for x in oracles._GK21_NODES]
+        gauss_abscissae = abscissae[1::2]
+
+        def exact(k):
+            return (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+
+        def rule(weights, xs, k):
+            return hlgth * math.fsum(w * x**k for w, x in zip(weights, xs))
+
+        for k in range(32):
+            assert rule(oracles._GK21_KRONROD, abscissae, k) == pytest.approx(
+                exact(k), rel=1e-14, abs=1e-15), k
+        for k in range(20):
+            assert rule(oracles._GK21_GAUSS, gauss_abscissae, k) == pytest.approx(
+                exact(k), rel=1e-14, abs=1e-15), k
+
+    def test_every_integral_agrees_with_scipy(self, monkeypatch):
+        """Each per-n transverse integral and the black-body integral match
+        scipy.integrate.quad, which runs the same QUADPACK rule."""
+        from scipy.integrate import quad
+
+        calls = []
+        adaptive = oracles._adaptive_gk21
+
+        def recording(f, points, epsrel, limit, what):
+            value = adaptive(f, points, epsrel, limit, what)
+            calls.append((f, points[0], points[-1], epsrel, value))
+            return value
+
+        monkeypatch.setattr(oracles, "_adaptive_gk21", recording)
+        cfg = OracleConfig()
+        for b in oracles.STANDARD_BETA_HAT_GRID:
+            frame = oracles._unit_flat_frame(1.0 / (2.0 * b))
+            quadrature_free_energy(frame, BetaHat(b), cfg)
+        blackbody_quadrature(1.0, cfg)
+        assert len(calls) > len(oracles.STANDARD_BETA_HAT_GRID) + 1
+        for f, a, b, epsrel, value in calls:
+            reference = quad(lambda t: f([t])[0], a, b, epsabs=0.0, epsrel=epsrel,
+                             limit=cfg.quad_points)[0]
+            assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_subinterval_limit_raises_one_line_error(self, unit_frame_at):
+        cfg = OracleConfig(quad_points=1)
+        with pytest.raises(QuadratureError) as transverse:
+            quadrature_free_energy(unit_frame_at(1.0), BetaHat(1.0), cfg)
+        with pytest.raises(QuadratureError) as blackbody:
+            blackbody_quadrature(1.0, cfg)
+        for excinfo in (transverse, blackbody):
+            message = str(excinfo.value)
+            assert "\n" not in message
+            assert "quad_points" in message
+
+    def test_validate_reports_quadrature_failures_as_checks(self, capsys):
+        assert main(["validate", "--quad-points", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        failed = [line for line in lines if line.endswith(")") and " FAIL " in line]
+        assert len(failed) == 8
+        assert all("QuadratureError" in line for line in failed)
+        assert lines[-1] == "15/23 oracle checks passed"

@@ -154,6 +154,32 @@ class TestEvaluatePoint:
         assert abs(U - (F + record.Tp * S)) <= 1e-9 * max(abs(U), abs(F))
         assert record.identity_residual <= 1e-9
 
+    @given(M=st.floats(), a=st.floats(), r=st.floats(), Omega=st.floats())
+    @settings(max_examples=300, deadline=1000)  # ms: a point costs <= 111 terms
+    def test_any_float_source_and_orbit_yield_a_finite_record(self, M, a, r, Omega):
+        try:
+            params = KerrParams(M=M, a=a)
+        except DomainError:
+            # Dataclasses that skipped their own checks must not get through either.
+            params = object.__new__(KerrParams)
+            for name, value in (("M", M), ("a", a), ("black_hole_mode", True)):
+                object.__setattr__(params, name, value)
+        try:
+            orbit = EquatorialOrbit(r=r, Omega=Omega)
+        except DomainError:
+            orbit = object.__new__(EquatorialOrbit)
+            object.__setattr__(orbit, "r", r)
+            object.__setattr__(orbit, "Omega", Omega)
+        record = evaluate_point(replace(kerr_request(), params=params, orbit=orbit))
+        assert isinstance(record.status, PointStatus)
+        if record.status is not PointStatus.OK:
+            assert record.F_ren is None
+            return
+        F, S, U = record.F_ren, record.S_ren, record.U_ren
+        assert all(math.isfinite(x) for x in (F, S, U))
+        assert abs(U - (F + record.Tp * S)) <= 1e-9 * max(abs(U), abs(F))
+        assert record.identity_residual <= 1e-9
+
     @pytest.mark.parametrize("build", [
         lambda v: KerrParams(M=v),
         lambda v: KerrParams(M=1.0, a=v),
@@ -413,6 +439,19 @@ class TestCli:
         config.write_text("format=xml\n")
         assert main(["point", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["point"],
+        ["sweep", "--axis", "T", "--start", "0.5", "--stop", "1.5", "--count", "3"],
+        ["validate"],
+    ])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing" / "out.txt"
+        assert main(command + ["--output", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kerrcasimir: ") and str(missing) in err
+        assert err.count("\n") == 1
+        assert not missing.exists()
+
     def test_validate_passes_and_writes_json(self, tmp_path, capsys):
         report = tmp_path / "validate.json"
         code = main(["validate", "--output", str(report)])
@@ -439,6 +478,21 @@ def test_cli_imports_neither_scipy_nor_numpy():
             assert cli.main(["point", "--spin", "0.5", "--temperature", "1"]) == 0
             assert cli.main(["sweep", "--axis", "T", "--scale", "log",
                              "--start", "0.01", "--stop", "100", "--count", "5"]) == 0
+        print(sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "numpy"}))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_validate_imports_neither_scipy_nor_numpy():
+    """The oracle suite runs on the in-package quadrature alone."""
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import kerrcasimir.cli as cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["validate"]) == 0
         print(sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "numpy"}))
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
