@@ -177,27 +177,21 @@ def equatorial_metric_functions(params: KerrParams, r: float) -> MetricFunctions
     )
 
 
-def _require_outside_horizon(params: KerrParams, r: float) -> MetricFunctions:
+def _omega_band(params: KerrParams, r: float) -> tuple[MetricFunctions, float, float]:
+    """Metric functions, dragging velocity omega_d = 2Mar/A and half-width
+    r^2 sqrt(Delta)/A of the timelike band at radius r, outside the horizon."""
     mf = equatorial_metric_functions(params, r)
     if mf.Delta <= 0.0:
         raise InsideHorizonError(
             f"Delta(r)={mf.Delta} <= 0 at r={r}: inside or on the horizon"
         )
-    return mf
+    omega_d = 2.0 * params.M * params.a * r / mf.BigA
+    return mf, omega_d, r * r * math.sqrt(mf.Delta) / mf.BigA
 
 
 def dragging_angular_velocity(params: KerrParams, r: float) -> float:
     """Frame-dragging angular velocity omega_d = 2Mar/A of local inertial frames."""
-    mf = _require_outside_horizon(params, r)
-    return 2.0 * params.M * params.a * r / mf.BigA
-
-
-def _omega_band(params: KerrParams, r: float) -> tuple[float, float, MetricFunctions]:
-    """Dragging velocity and half-width of the timelike band at radius r."""
-    mf = _require_outside_horizon(params, r)
-    omega_d = 2.0 * params.M * params.a * r / mf.BigA
-    half_width = r * r * math.sqrt(mf.Delta) / mf.BigA
-    return omega_d, half_width, mf
+    return _omega_band(params, r)[1]
 
 
 def allowed_omega_interval(params: KerrParams, r: float) -> tuple[float, float]:
@@ -208,32 +202,35 @@ def allowed_omega_interval(params: KerrParams, r: float) -> tuple[float, float]:
     is centered on the dragging velocity.  Endpoints are excluded (null
     orbits, C diverges).
     """
-    omega_d, half_width, _ = _omega_band(params, r)
+    _, omega_d, half_width = _omega_band(params, r)
     return omega_d - half_width, omega_d + half_width
 
 
-def _normalization_bracket(params: KerrParams, orbit: EquatorialOrbit) -> tuple[float, MetricFunctions]:
-    """1 - (A^2/(r^4 Delta))(Omega - omega_d)^2, raising outside the open band.
+def _observer(
+    params: KerrParams, orbit: EquatorialOrbit
+) -> tuple[MetricFunctions, float, float, float]:
+    """Metric functions, omega_d, normalization bracket and C of the orbit.
 
-    The band endpoints are compared as the same floats that
-    allowed_omega_interval returns, so feeding an endpoint back is
-    rejected deterministically.
+    bracket = 1 - (A^2/(r^4 Delta))(Omega - omega_d)^2 must be positive, and
+    the band endpoints are compared as the same floats allowed_omega_interval
+    returns, so feeding an endpoint back is rejected deterministically.
     """
-    omega_d, half_width, mf = _omega_band(params, orbit.r)
     r = orbit.r
+    mf, omega_d, half_width = _omega_band(params, r)
     if not (omega_d - half_width < orbit.Omega < omega_d + half_width):
         raise ForbiddenOrbitError(
-            f"Omega={orbit.Omega} at r={orbit.r} is outside the open interval "
+            f"Omega={orbit.Omega} at r={r} is outside the open interval "
             f"({omega_d - half_width}, {omega_d + half_width}) of timelike orbits"
         )
     dOm = orbit.Omega - omega_d
     bracket = 1.0 - (mf.BigA * mf.BigA / (r**4 * mf.Delta)) * dOm * dOm
     if bracket <= 0.0:
         raise ForbiddenOrbitError(
-            f"Omega={orbit.Omega} at r={orbit.r} is null or superluminal "
+            f"Omega={orbit.Omega} at r={r} is null or superluminal "
             "(normalization bracket <= 0)"
         )
-    return bracket, mf
+    C = 1.0 / math.sqrt((r * r * mf.Delta / mf.BigA) * bracket)
+    return mf, omega_d, bracket, C
 
 
 def velocity_normalization(params: KerrParams, orbit: EquatorialOrbit) -> float:
@@ -245,17 +242,13 @@ def velocity_normalization(params: KerrParams, orbit: EquatorialOrbit) -> float:
     where C = sqrt(A/(r^2 Delta)).  Diverges on the light-cone boundary of
     the allowed band, which is treated as an error.
     """
-    bracket, mf = _normalization_bracket(params, orbit)
-    r2 = orbit.r * orbit.r
-    return 1.0 / math.sqrt((r2 * mf.Delta / mf.BigA) * bracket)
+    return _observer(params, orbit)[3]
 
 
 def comoving_metric(params: KerrParams, orbit: EquatorialOrbit) -> HatMetric:
     """Metric components of the comoving Cartesian frame, plus the weight gS."""
-    C = velocity_normalization(params, orbit)
-    mf = equatorial_metric_functions(params, orbit.r)
+    mf, omega_d, _, C = _observer(params, orbit)
     r = orbit.r
-    omega_d = 2.0 * params.M * params.a * r / mf.BigA
     tt = 1.0 / (C * C)
     tx = -(mf.BigA / r**3) * (orbit.Omega - omega_d)
     xx = -mf.BigA / r**4
@@ -281,8 +274,7 @@ def proper_frame(
     """
     if not (0.0 <= T < math.inf):
         raise DomainError(f"temperature must be finite and >= 0, got T={T}")
-    C = velocity_normalization(params, orbit)
-    mf = equatorial_metric_functions(params, orbit.r)
+    mf, _, _, C = _observer(params, orbit)
     r = orbit.r
     sqrt_delta = math.sqrt(mf.Delta)
     frame = ProperFrame(
@@ -312,5 +304,5 @@ def orbit_from_band_fraction(params: KerrParams, r: float, fraction: float) -> E
         raise ForbiddenOrbitError(
             f"band fraction must lie strictly inside (-1, 1), got {fraction}"
         )
-    omega_d, half_width, _ = _omega_band(params, r)
+    _, omega_d, half_width = _omega_band(params, r)
     return EquatorialOrbit(r=r, Omega=omega_d + fraction * half_width)

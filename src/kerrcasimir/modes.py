@@ -13,13 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .geometry import (
-    CavityGeometry,
-    EquatorialOrbit,
-    KerrParams,
-    equatorial_metric_functions,
-    velocity_normalization,
-)
+from .geometry import CavityGeometry, EquatorialOrbit, KerrParams, _observer
 
 __all__ = [
     "ModeIndex",
@@ -62,6 +56,17 @@ class ValidityDiagnostics:
     small_cavity_ok: bool
 
 
+def _frequency(mode: ModeIndex, params: KerrParams, orbit: EquatorialOrbit,
+               cavity: CavityGeometry, first_derivative: complex, sqrt) -> complex:
+    """Dispersion body of both eigenfrequencies; first_derivative is 2 i alpha k_y or 0."""
+    mf, _, _, C = _observer(params, orbit)
+    r = orbit.r
+    d_over_r2 = mf.Delta / (r * r)
+    kx = math.pi * mode.n / cavity.L
+    inner = kx * kx + d_over_r2 * C * C * (d_over_r2 * mode.ky**2 + first_derivative + mode.kz**2)
+    return (r / (math.sqrt(mf.Delta) * C * C)) * sqrt(inner)
+
+
 def eigenfrequency(
     mode: ModeIndex,
     params: KerrParams,
@@ -77,13 +82,7 @@ def eigenfrequency(
     separation.  In flat space with a static observer it is the familiar
     sqrt((pi n / L)^2 + k_y^2 + k_z^2).
     """
-    C = velocity_normalization(params, orbit)
-    mf = equatorial_metric_functions(params, orbit.r)
-    r = orbit.r
-    d_over_r2 = mf.Delta / (r * r)
-    kx = math.pi * mode.n / cavity.L
-    inner = kx * kx + d_over_r2 * C * C * (d_over_r2 * mode.ky**2 + mode.kz**2)
-    return (r / (math.sqrt(mf.Delta) * C * C)) * math.sqrt(inner)
+    return _frequency(mode, params, orbit, cavity, 0.0, math.sqrt)
 
 
 def corrected_eigenfrequency(
@@ -104,16 +103,8 @@ def corrected_eigenfrequency(
     continuously as alpha*k_y -> 0.  The imaginary part is exposed as a
     diagnostic of the approximation only.
     """
-    C = velocity_normalization(params, orbit)
-    mf = equatorial_metric_functions(params, orbit.r)
-    r = orbit.r
-    alpha = (params.M - r) / (r * r)
-    d_over_r2 = mf.Delta / (r * r)
-    kx = math.pi * mode.n / cavity.L
-    inner = kx * kx + d_over_r2 * C * C * (
-        d_over_r2 * mode.ky**2 + 2j * alpha * mode.ky + mode.kz**2
-    )
-    return (r / (math.sqrt(mf.Delta) * C * C)) * cmath.sqrt(inner)
+    alpha = cavity_validity(params, orbit, cavity).alpha
+    return _frequency(mode, params, orbit, cavity, 2j * alpha * mode.ky, cmath.sqrt)
 
 
 def cavity_validity(

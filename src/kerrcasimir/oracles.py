@@ -280,6 +280,39 @@ def thermal_correction_resummed_form(
     return -frame.Sp / (16.0 * math.pi * frame.Lp**3) * math.fsum(terms)
 
 
+def _transverse_integral(n: int, b: float, cfg: OracleConfig) -> tuple[float, float]:
+    """Transverse integral of mode n < 700/(2 pi b) and its cutoff t_cut,
+    taken as described in quadrature_free_energy."""
+    two_pi_b = 2.0 * math.pi * b
+    r_cut = _EXP_CUTOFF / two_pi_b  # radius where exp(-2 pi b rho) underflows
+    t_cut = math.sqrt(r_cut * r_cut - n * n)
+
+    def integrand(ts: list[float]) -> list[float]:
+        out = []
+        for t in ts:
+            z = two_pi_b * math.hypot(n, t)
+            out.append(0.0 if z > _EXP_CUTOFF else t * math.log1p(-math.exp(-z)))
+        return out
+
+    rho = n + _SPLIT_DZ / two_pi_b
+    points = (0.0, math.sqrt(rho * rho - n * n), t_cut) if rho < r_cut else (0.0, t_cut)
+    return _adaptive_gk21(
+        integrand, points, max(cfg.rel_tol, 1e-13), cfg.quad_points,
+        f"transverse quadrature for n={n} at beta_hat={b}",
+    ), t_cut
+
+
+def _mode_sum_tail(n_used: int, b: float) -> float:
+    """Bound on the magnitude of the mode-sum terms n >= K = n_used + 1.
+
+    With rho = sqrt(n^2 + t^2) and |ln(1 - x)| <= x/(1 - x), term n is at
+    most q^n (cn + 1)/(c^2 (1 - q^K)), c = 2 pi b, q = e^(-c): geometric sums.
+    """
+    c, K = 2.0 * math.pi * b, n_used + 1
+    q, one_minus_q = math.exp(-c), -math.expm1(-c)
+    return math.exp(-c * K) * (1.0 + c * (K + q / one_minus_q)) / (c * c * -math.expm1(-c * K) * one_minus_q)
+
+
 def quadrature_free_energy(
     frame: ProperFrame,
     bh: BetaHat,
@@ -302,9 +335,9 @@ def quadrature_free_energy(
     subintervals, with a break point where the argument has grown by 32
     from its value at t = 0.  The n sum stops at the first term below
     cfg.rel_tol times the partial sum.  With ``full_output`` a diagnostics
-    dict with the number of n terms, the cutoff and the analytic tail bound
-    is returned.  Raises QuadratureError when a transverse integral needs
-    more subintervals, or the n sum more than cfg.n_max terms.
+    dict with the number of n terms, the cutoff and an analytic bound on the
+    n terms left out is returned.  Raises QuadratureError when a transverse
+    integral needs more subintervals, or the n sum more than cfg.n_max terms.
     """
     b = bh.value
     if not (b > 0.0):
@@ -312,9 +345,7 @@ def quadrature_free_energy(
     if math.isinf(b):
         result = -0.0
         return (result, {"n_used": 0, "t_cutoff": 0.0, "tail_estimate": 0.0}) if full_output else result
-    two_pi_b = 2.0 * math.pi * b
-    r_cut = _EXP_CUTOFF / two_pi_b  # radius where exp(-2 pi b rho) underflows
-    epsrel = max(cfg.rel_tol, 1e-13)
+    r_cut = _EXP_CUTOFF / (2.0 * math.pi * b)
 
     total = 0.0
     n_used = 0
@@ -322,21 +353,7 @@ def quadrature_free_energy(
     for n in range(1, cfg.n_max + 1):
         if n >= r_cut:
             break
-        t_cut = math.sqrt(r_cut * r_cut - n * n)
-
-        def integrand(ts: list[float], n: int = n) -> list[float]:
-            out = []
-            for t in ts:
-                z = two_pi_b * math.hypot(n, t)
-                out.append(0.0 if z > _EXP_CUTOFF else t * math.log1p(-math.exp(-z)))
-            return out
-
-        rho = n + _SPLIT_DZ / two_pi_b
-        points = (0.0, math.sqrt(rho * rho - n * n), t_cut) if rho < r_cut else (0.0, t_cut)
-        val = _adaptive_gk21(
-            integrand, points, epsrel, cfg.quad_points,
-            f"transverse quadrature for n={n} at beta_hat={b}",
-        )
+        val, t_cut = _transverse_integral(n, b, cfg)
         total += val
         n_used = n
         if abs(val) <= cfg.rel_tol * abs(total):
@@ -345,9 +362,11 @@ def quadrature_free_energy(
         raise QuadratureError(
             f"mode sum not converged within n_max={cfg.n_max} at beta_hat={b}"
         )
-    result = (math.pi * frame.Sp / (4.0 * frame.Lp**3 * b)) * total
+    prefactor = math.pi * frame.Sp / (4.0 * frame.Lp**3 * b)
+    result = prefactor * total
     if full_output:
-        return result, {"n_used": n_used, "t_cutoff": t_cut, "tail_estimate": 0.0}
+        tail = prefactor * _mode_sum_tail(n_used, b)
+        return result, {"n_used": n_used, "t_cutoff": t_cut, "tail_estimate": tail}
     return result
 
 

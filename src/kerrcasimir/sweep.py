@@ -311,13 +311,10 @@ def records_to_jsonl(records: Iterable[OutputRecord]) -> str:
         obj = {}
         for col in CSV_COLUMNS:
             value = getattr(rec, col)
-            if value is None:
-                obj[col] = None
-            elif isinstance(value, PointStatus):
-                obj[col] = value.value
-            elif isinstance(value, float):
-                obj[col] = None if not math.isfinite(value) else float(f"{value:.17g}")
-            else:
-                obj[col] = value
-        lines.append(json.dumps(obj, separators=(",", ":"), sort_keys=False))
+            if isinstance(value, PointStatus):
+                value = value.value
+            elif isinstance(value, float) and not math.isfinite(value):
+                value = None
+            obj[col] = value
+        lines.append(json.dumps(obj, separators=(",", ":")))
     return "\n".join(lines) + "\n"

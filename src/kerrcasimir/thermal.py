@@ -33,12 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, TruncationError
-from .geometry import (
-    EquatorialOrbit,
-    KerrParams,
-    ProperFrame,
-    _normalization_bracket,
-)
+from .geometry import EquatorialOrbit, KerrParams, ProperFrame, _observer
 
 __all__ = [
     "SeriesControl",
@@ -111,6 +106,8 @@ class CasimirReport:
     and for beta_hat below about 0.009, where e^(-2 pi/beta_hat) already
     underflows.  truncation_estimate is 0.0 because every sum runs to
     underflow; beta_hat is infinite on the zero-temperature path.
+    DeltaTF_ren, S_ren and U_ren - E0_ren depend on the comoving Lp, Sp and
+    Tp only; E0_ren carries the ZAMO's cavity volume (see vacuum_energy).
     """
 
     E0_ren: float
@@ -207,11 +204,12 @@ def vacuum_energy(frame: ProperFrame, params: KerrParams, orbit: EquatorialOrbit
 
     E0_ren = Vp * eps0(Lp) * [1 - (A^2/(r^4 Delta)) (Omega - omega_d)^2]^(1/2)
 
-    with eps0 the flat-space density at the proper separation.  The bracket
-    is the squared form consistent with the observer normalization, so the
-    flat rotating limit carries the expected factor sqrt(1 - r^2 Omega^2).
+    with eps0 the flat-space density at the proper separation.  The root is
+    C_ZAMO/C, C_ZAMO = sqrt(A/(r^2 Delta)) being C of the zero-angular-momentum
+    observer (ZAMO), so E0_ren = (S0 L C_ZAMO) eps0(Lp), the ZAMO's cavity
+    volume times the comoving density; flat space gives sqrt(1 - r^2 Omega^2).
     """
-    bracket, _ = _normalization_bracket(params, orbit)
+    _, _, bracket, _ = _observer(params, orbit)
     return frame.Vp * flat_casimir_density(frame.Lp) * math.sqrt(bracket)
 
 

@@ -277,3 +277,59 @@ class TestOrbitPresets:
     def test_band_edge_fractions_rejected(self, frac):
         with pytest.raises(ForbiddenOrbitError):
             orbit_from_band_fraction(KerrParams(M=1.0, a=0.5), 10.0, frac)
+
+
+class TestOneObserverPass:
+    """Every Kerr quantity of an orbit comes from one call of geometry._observer."""
+
+    @pytest.fixture
+    def observer_calls(self, monkeypatch):
+        import sys
+
+        from kerrcasimir import geometry
+
+        original = geometry._observer
+        calls = []
+
+        def counting(params, orbit):
+            calls.append(orbit)
+            return original(params, orbit)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("kerrcasimir") and getattr(module, "_observer", None) is original:
+                monkeypatch.setattr(module, "_observer", counting)
+        return calls
+
+    def test_proper_frame_takes_one_pass(self, observer_calls, kerr_fast):
+        params, orbit, cavity = kerr_fast
+        proper_frame(params, orbit, cavity, T=1.0)
+        assert observer_calls == [orbit]
+
+    def test_evaluate_point_takes_two_passes(self, observer_calls, kerr_fast):
+        from kerrcasimir import PointRequest, PointStatus, evaluate_point
+
+        params, orbit, cavity = kerr_fast
+        record = evaluate_point(PointRequest(params=params, orbit=orbit, cavity=cavity, T=1.0))
+        assert record.status is PointStatus.OK
+        # proper_frame and vacuum_energy; cavity_validity needs no observer.
+        assert observer_calls == [orbit, orbit]
+
+    @pytest.mark.parametrize("quantity", [
+        "velocity_normalization", "comoving_metric", "vacuum_energy",
+        "eigenfrequency", "corrected_eigenfrequency",
+    ])
+    def test_each_orbit_quantity_takes_one_pass(self, observer_calls, kerr_fast, quantity):
+        import kerrcasimir
+        from kerrcasimir import ModeIndex
+
+        params, orbit, cavity = kerr_fast
+        fn = getattr(kerrcasimir, quantity)
+        if quantity == "vacuum_energy":
+            frame = proper_frame(params, orbit, cavity)
+            observer_calls.clear()
+            fn(frame, params, orbit)
+        elif quantity.endswith("eigenfrequency"):
+            fn(ModeIndex(n=2, ky=3.0, kz=1.5), params, orbit, cavity)
+        else:
+            fn(params, orbit)
+        assert observer_calls == [orbit]

@@ -88,6 +88,31 @@ class TestQuadrature:
         assert info["tail_estimate"] <= 1e-12 * abs(value)
         assert info["t_cutoff"] > 0.0
 
+    @pytest.mark.parametrize("b", [0.1, 1.0, 5.0])
+    def test_tail_estimate_bounds_the_terms_left_out(self, unit_frame_at, b):
+        """The n terms after the stopping rule, summed with the same transverse
+        quadrature until they stop changing the sum, lie below tail_estimate,
+        and tail_estimate is at most 10x their sum."""
+        cfg = OracleConfig()
+        frame = unit_frame_at(b)
+        _, info = quadrature_free_energy(frame, BetaHat(b), cfg, full_output=True)
+        remainder = 0.0
+        n = info["n_used"] + 1
+        while n < oracles._EXP_CUTOFF / (2.0 * math.pi * b):
+            term, _ = oracles._transverse_integral(n, b, cfg)
+            remainder += term
+            if abs(term) <= 1e-17 * abs(remainder):
+                break
+            n += 1
+        remainder = abs(math.pi * frame.Sp / (4.0 * frame.Lp**3 * b) * remainder)
+        estimate = info["tail_estimate"]
+        assert remainder > 0.0
+        assert estimate > 0.0
+        # The bound holds for the exact terms; the quadrature reaches each of
+        # them only to its relative accuracy max(rel_tol, 1e-13).
+        assert remainder <= estimate * (1.0 + max(cfg.rel_tol, 1e-13))
+        assert estimate <= 10.0 * remainder
+
     @pytest.mark.parametrize("b", [0.2, 0.5, 1.0, 2.0])
     def test_mode_sum_truncation_index_scales_inversely(self, unit_frame_at, b):
         cfg = OracleConfig()
