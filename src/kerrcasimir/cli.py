@@ -8,7 +8,9 @@ with a one-line reason on stderr.  A config file of plain
 ``key=value`` lines may set defaults for any flag of the subcommand it is
 given to, required ones included (keys are the long flag names, with
 ``-`` or ``_`` interchangeable, typed and checked as the flags are);
-explicit flags always win.
+explicit flags always win, and any other key exits 2.  ``point`` and
+``sweep`` take no series flags: the thermal series always runs to
+underflow, so ``--rel-tol`` and ``--m-max`` belong to ``validate`` alone.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .errors import DomainError, ForbiddenOrbitError, InsideHorizonError, NakedSingularityError
+from .errors import DomainError
 from .geometry import (
     CavityGeometry,
     EquatorialOrbit,
@@ -37,7 +39,6 @@ from .sweep import (
     records_to_jsonl,
     run_sweep,
 )
-from .thermal import SeriesControl
 
 
 def _add_point_flags(parser: argparse.ArgumentParser) -> None:
@@ -52,8 +53,6 @@ def _add_point_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--length", type=float, default=0.01, help="coordinate plate separation L")
     parser.add_argument("--area", type=float, default=1e-4, help="coordinate plate area S0")
     parser.add_argument("--temperature", type=float, default=0.0, help="coordinate temperature T")
-    parser.add_argument("--rel-tol", type=float, default=1e-12, help="series relative tolerance")
-    parser.add_argument("--m-max", type=int, default=10**6, help="series term cap")
     parser.add_argument("--allow-naked", action="store_true",
                         help="admit |a| > M (over-spun source)")
     parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
@@ -150,9 +149,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argpa
     return parser.parse_args(argv)
 
 
-def _resolve_omega(spec: str | float, params: KerrParams, r: float) -> EquatorialOrbit:
-    if isinstance(spec, float):
-        return EquatorialOrbit(r=r, Omega=spec)
+def _resolve_omega(spec: str, params: KerrParams, r: float) -> EquatorialOrbit:
     text = spec.strip().lower()
     if text == "zamo":
         return EquatorialOrbit(r=r, Omega=dragging_angular_velocity(params, r))
@@ -165,8 +162,7 @@ def _build_request(args: argparse.Namespace) -> PointRequest:
     params = KerrParams(M=args.mass, a=args.spin, black_hole_mode=not args.allow_naked)
     orbit = _resolve_omega(args.omega, params, args.radius)
     cavity = CavityGeometry(L=args.length, S0=args.area)
-    control = SeriesControl(rel_tol=args.rel_tol, m_max=args.m_max)
-    return PointRequest(params=params, orbit=orbit, cavity=cavity, T=args.temperature, control=control)
+    return PointRequest(params=params, orbit=orbit, cavity=cavity, T=args.temperature)
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -235,7 +231,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = _apply_config(parser, sys.argv[1:] if argv is None else list(argv))
-    except (DomainError, ForbiddenOrbitError, OSError, ValueError) as exc:
+    except (DomainError, OSError, ValueError) as exc:
         print(f"kerrcasimir: {exc}", file=sys.stderr)
         return 2
     try:
@@ -244,8 +240,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_validate(args)
-    except (DomainError, NakedSingularityError, InsideHorizonError, ForbiddenOrbitError,
-            ValueError, OSError) as exc:
+    except (DomainError, ValueError, OSError) as exc:
         print(f"kerrcasimir: {exc}", file=sys.stderr)
         return 2
 

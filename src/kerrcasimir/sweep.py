@@ -4,27 +4,22 @@ Every grid point is evaluated by a pure function in one process, in grid
 order, so the emitted bytes depend only on the sweep specification.  A
 point costs at most 111 series terms at any temperature, and the GIL
 serializes the pure-Python kernel, so sweeps run without a thread pool.
-Failed points (forbidden orbit, inside horizon, naked singularity,
-non-finite or out-of-domain input, series truncation) become records with
-an error status and empty numeric fields; no exception escapes and no
-NaN/Inf is ever serialized.
+A record is an ``OutputRecord`` named tuple whose fields are the CSV
+columns in order.  Failed points (forbidden orbit, inside horizon, naked
+singularity, non-finite or out-of-domain input, series truncation) keep
+their inputs and status and carry None in every result field; no
+exception escapes and no NaN/Inf is ever serialized.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .errors import (
-    DomainError,
-    ForbiddenOrbitError,
-    InsideHorizonError,
-    NakedSingularityError,
-    TruncationError,
-)
+from .errors import DomainError, ForbiddenOrbitError, InsideHorizonError, TruncationError
 from .geometry import (
     CavityGeometry,
     EquatorialOrbit,
@@ -32,7 +27,7 @@ from .geometry import (
     proper_frame,
 )
 from .modes import cavity_validity
-from .thermal import SeriesControl, casimir_report
+from .thermal import casimir_report
 
 __all__ = [
     "PointStatus",
@@ -68,7 +63,6 @@ class PointRequest:
     orbit: EquatorialOrbit
     cavity: CavityGeometry
     T: float = 0.0
-    control: SeriesControl = field(default_factory=SeriesControl)
 
 
 class SweepAxis(str, Enum):
@@ -142,28 +136,16 @@ class SweepSpec:
         try:
             req = self.request_at(value)
         except DomainError:
-            inputs = _inputs(self.base)
-            inputs[self.axis.value] = value
-            return OutputRecord(**inputs, status=PointStatus.INVALID_INPUT)
+            failed = _failed(_inputs(self.base), PointStatus.INVALID_INPUT)
+            return failed._replace(**{self.axis.value: value})
         return evaluate_point(req)
 
 
-# Fixed serialization order: inputs, proper frame, report, diagnostics, status.
-CSV_COLUMNS = (
-    "M", "a", "r", "Omega", "L", "S0", "T", "rel_tol", "m_max",
-    "C", "Lp", "Sp", "Vp", "Tp",
-    "E0_ren", "DeltaTF_ren", "F_ren", "S_ren", "U_ren", "f_bb",
-    "beta_hat", "terms_used", "truncation_estimate",
-    "alpha", "L_over_r", "ML_over_r2", "small_cavity_ok",
-    "identity_residual", "status",
-)
-
-
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(NamedTuple):
     """One grid point: inputs, proper frame, thermal report, diagnostics, status.
 
-    Numeric fields are None for points whose status is not 'ok';
+    The fields are the CSV columns in order (see CSV_COLUMNS).  Result
+    fields are None for points whose status is not 'ok';
     identity_residual is the relative residual of U - (F + Tp*S), recorded
     as an always-on internal consistency diagnostic.
     """
@@ -175,37 +157,43 @@ class OutputRecord:
     L: float
     S0: float
     T: float
-    rel_tol: float
-    m_max: int
+    C: Optional[float]
+    Lp: Optional[float]
+    Sp: Optional[float]
+    Vp: Optional[float]
+    Tp: Optional[float]
+    E0_ren: Optional[float]
+    DeltaTF_ren: Optional[float]
+    F_ren: Optional[float]
+    S_ren: Optional[float]
+    U_ren: Optional[float]
+    f_bb: Optional[float]
+    beta_hat: Optional[float]
+    terms_used: Optional[int]
+    truncation_estimate: Optional[float]
+    alpha: Optional[float]
+    L_over_r: Optional[float]
+    ML_over_r2: Optional[float]
+    small_cavity_ok: Optional[bool]
+    identity_residual: Optional[float]
     status: PointStatus
-    C: Optional[float] = None
-    Lp: Optional[float] = None
-    Sp: Optional[float] = None
-    Vp: Optional[float] = None
-    Tp: Optional[float] = None
-    E0_ren: Optional[float] = None
-    DeltaTF_ren: Optional[float] = None
-    F_ren: Optional[float] = None
-    S_ren: Optional[float] = None
-    U_ren: Optional[float] = None
-    f_bb: Optional[float] = None
-    beta_hat: Optional[float] = None
-    terms_used: Optional[int] = None
-    truncation_estimate: Optional[float] = None
-    alpha: Optional[float] = None
-    L_over_r: Optional[float] = None
-    ML_over_r2: Optional[float] = None
-    small_cavity_ok: Optional[bool] = None
-    identity_residual: Optional[float] = None
 
 
-def _inputs(req: PointRequest) -> dict:
-    """The input columns of a record."""
-    return dict(
-        M=req.params.M, a=req.params.a, r=req.orbit.r, Omega=req.orbit.Omega,
-        L=req.cavity.L, S0=req.cavity.S0, T=req.T,
-        rel_tol=req.control.rel_tol, m_max=req.control.m_max,
-    )
+CSV_COLUMNS = OutputRecord._fields
+
+# Every field between the seven inputs and the status.
+_NO_RESULTS = (None,) * (len(CSV_COLUMNS) - 8)
+
+
+def _inputs(req: PointRequest) -> tuple:
+    """The input fields of a record, in order."""
+    return (req.params.M, req.params.a, req.orbit.r, req.orbit.Omega,
+            req.cavity.L, req.cavity.S0, req.T)
+
+
+def _failed(inputs: tuple, status: PointStatus) -> OutputRecord:
+    """A record of the given inputs and status with every result field None."""
+    return OutputRecord(*inputs, *_NO_RESULTS, status)
 
 
 def evaluate_point(req: PointRequest) -> OutputRecord:
@@ -220,7 +208,7 @@ def evaluate_point(req: PointRequest) -> OutputRecord:
     base = _inputs(req)
     try:
         frame = proper_frame(req.params, req.orbit, req.cavity, req.T)
-        report = casimir_report(frame, req.params, req.orbit, req.control)
+        report = casimir_report(frame, req.params, req.orbit)
         validity = cavity_validity(req.params, req.orbit, req.cavity)
         if frame.Tp > 0.0:
             identity_residual = abs(
@@ -229,20 +217,19 @@ def evaluate_point(req: PointRequest) -> OutputRecord:
         else:
             identity_residual = 0.0
     except ForbiddenOrbitError:
-        return OutputRecord(**base, status=PointStatus.FORBIDDEN_ORBIT)
+        return _failed(base, PointStatus.FORBIDDEN_ORBIT)
     except InsideHorizonError:
-        return OutputRecord(**base, status=PointStatus.INSIDE_HORIZON)
+        return _failed(base, PointStatus.INSIDE_HORIZON)
     except TruncationError:
-        return OutputRecord(**base, status=PointStatus.TRUNCATION_ERROR)
-    except (NakedSingularityError, DomainError, OverflowError, ZeroDivisionError):
-        return OutputRecord(**base, status=PointStatus.INVALID_INPUT)
+        return _failed(base, PointStatus.TRUNCATION_ERROR)
+    except (DomainError, OverflowError, ZeroDivisionError):
+        return _failed(base, PointStatus.INVALID_INPUT)
     finite = all(map(math.isfinite, (report.F_ren, report.S_ren, report.U_ren)))
     if not (finite and identity_residual <= _IDENTITY_TOL):
-        return OutputRecord(**base, status=PointStatus.INVALID_INPUT)
+        return _failed(base, PointStatus.INVALID_INPUT)
 
     return OutputRecord(
-        **base,
-        status=PointStatus.OK,
+        *base,
         C=frame.C,
         Lp=frame.Lp,
         Sp=frame.Sp,
@@ -262,6 +249,7 @@ def evaluate_point(req: PointRequest) -> OutputRecord:
         ML_over_r2=validity.ML_over_r2,
         small_cavity_ok=validity.small_cavity_ok,
         identity_residual=identity_residual,
+        status=PointStatus.OK,
     )
 
 
@@ -300,7 +288,7 @@ def records_to_csv(records: Iterable[OutputRecord]) -> str:
     """Fixed-column CSV with header; byte-stable for identical inputs."""
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
-        lines.append(",".join(_format_cell(getattr(rec, col)) for col in CSV_COLUMNS))
+        lines.append(",".join(map(_format_cell, rec)))
     return "\n".join(lines) + "\n"
 
 
@@ -309,8 +297,7 @@ def records_to_jsonl(records: Iterable[OutputRecord]) -> str:
     lines = []
     for rec in records:
         obj = {}
-        for col in CSV_COLUMNS:
-            value = getattr(rec, col)
+        for col, value in zip(CSV_COLUMNS, rec):
             if isinstance(value, PointStatus):
                 value = value.value
             elif isinstance(value, float) and not math.isfinite(value):

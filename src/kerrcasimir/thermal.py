@@ -68,10 +68,9 @@ class SeriesControl:
     """Truncation policy for the thermal series.
 
     The sums run until their exponentially decaying terms underflow, so the
-    achieved relative truncation is below any admissible rel_tol; rel_tol
-    is the guaranteed bound recorded with results.  Exceeding m_max terms
-    raises TruncationError, which the default never does (at most 111
-    terms are needed).
+    achieved relative truncation is below any admissible rel_tol, the
+    guaranteed bound.  Exceeding m_max terms raises TruncationError, which
+    the default never does (at most 111 terms are needed).
     """
 
     rel_tol: float = 1e-12

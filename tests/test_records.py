@@ -1,0 +1,154 @@
+"""The record schema: one declaration, inputs kept on failure, no NaN/Inf out."""
+
+import csv
+import io
+import json
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kerrcasimir import (
+    CavityGeometry,
+    DomainError,
+    EquatorialOrbit,
+    KerrParams,
+    OutputRecord,
+    PointRequest,
+    PointStatus,
+    SweepAxis,
+    SweepSpec,
+    dragging_angular_velocity,
+    evaluate_point,
+    records_to_csv,
+    records_to_jsonl,
+    run_sweep,
+)
+from kerrcasimir.cli import main
+from kerrcasimir.sweep import CSV_COLUMNS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+INPUTS = ("M", "a", "r", "Omega", "L", "S0", "T")
+
+
+def kerr_request(T=1.0):
+    """Base configuration: M=1, a=0.5, r=10, ZAMO orbit, small cavity."""
+    params = KerrParams(M=1.0, a=0.5)
+    return PointRequest(
+        params=params,
+        orbit=EquatorialOrbit(r=10.0, Omega=dragging_angular_velocity(params, 10.0)),
+        cavity=CavityGeometry(L=0.01, S0=1e-4),
+        T=T,
+    )
+
+
+def unchecked(cls, **fields):
+    """An instance of a frozen dataclass that skipped its own checks."""
+    try:
+        return cls(**fields)
+    except DomainError:
+        obj = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(obj, name, value)
+        return obj
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def assert_finite_serialization(records):
+    text = records_to_csv(records)
+    assert "nan" not in text.lower() and "inf" not in text.lower()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert tuple(rows[0]) == CSV_COLUMNS
+    for row in rows[1:]:
+        assert len(row) == len(CSV_COLUMNS)
+        for cell in row[:-1]:
+            if cell not in ("", "true", "false"):
+                assert math.isfinite(float(cell))
+    lines = records_to_jsonl(records).splitlines()
+    assert len(lines) == len(records)
+    for line in lines:
+        obj = json.loads(line, parse_constant=reject_constant)
+        assert list(obj) == list(CSV_COLUMNS)
+
+
+class TestSchema:
+    def test_columns_are_the_record_fields(self):
+        assert CSV_COLUMNS == OutputRecord._fields
+        assert CSV_COLUMNS[:7] == INPUTS and CSV_COLUMNS[-1] == "status"
+        assert "rel_tol" not in CSV_COLUMNS and "m_max" not in CSV_COLUMNS
+
+    def test_records_are_immutable_with_attribute_access(self):
+        rec = evaluate_point(kerr_request())
+        assert rec.status is PointStatus.OK and isinstance(rec.F_ren, float)
+        with pytest.raises(AttributeError):
+            rec.F_ren = 0.0
+
+    def test_readme_documents_the_csv_header(self):
+        assert ",".join(CSV_COLUMNS) in README.read_text(encoding="utf-8")
+
+
+class TestFailedRecords:
+    def test_failed_sweep_records_keep_their_inputs(self):
+        base = replace(kerr_request(T=0.5), params=KerrParams(M=1.0, a=0.0))
+        spec = SweepSpec(axis=SweepAxis.A, start=0.0, stop=1.5, count=7, base=base)
+        records = run_sweep(spec)
+        failed = [rec for rec in records if rec.status is not PointStatus.OK]
+        assert [rec.a for rec in failed] == [v for v in spec.grid() if v > 1.0] == [1.25, 1.5]
+        for rec in failed:
+            assert rec.status is PointStatus.INVALID_INPUT
+            assert (rec.M, rec.r, rec.Omega, rec.L, rec.S0, rec.T) == (
+                base.params.M, base.orbit.r, base.orbit.Omega,
+                base.cavity.L, base.cavity.S0, base.T,
+            )
+            results = {name: value for name, value in rec._asdict().items()
+                       if name not in INPUTS and name != "status"}
+            assert results and all(value is None for value in results.values())
+
+
+class TestNothingNonFiniteIsSerialized:
+    @given(M=st.floats(), a=st.floats(), r=st.floats(), Omega=st.floats(),
+           L=st.floats(), S0=st.floats(), T=st.floats())
+    @settings(max_examples=200, deadline=1000)  # ms: a point costs <= 111 terms
+    def test_evaluated_points(self, M, a, r, Omega, L, S0, T):
+        req = PointRequest(
+            params=unchecked(KerrParams, M=M, a=a, black_hole_mode=True),
+            orbit=unchecked(EquatorialOrbit, r=r, Omega=Omega),
+            cavity=unchecked(CavityGeometry, L=L, S0=S0),
+            T=T,
+        )
+        assert_finite_serialization([evaluate_point(req), evaluate_point(replace(kerr_request(), T=T))])
+
+    @given(axis=st.sampled_from(list(SweepAxis)), value=st.floats())
+    @settings(max_examples=200, deadline=1000)
+    def test_sweep_axis_values(self, axis, value):
+        spec = SweepSpec(axis=axis, start=0.5, stop=math.inf, count=3, base=kerr_request())
+        grid = spec.grid()
+        assert grid[-1] == math.inf
+        records = [spec.evaluate_at(v) for v in (*grid, value)]
+        kept = getattr(records[-1], axis.value)
+        assert kept == value or (math.isnan(kept) and math.isnan(value))
+        assert_finite_serialization(records)
+
+
+class TestSeriesFlagsRemoved:
+    @pytest.mark.parametrize("command", [["point"], ["sweep", "--axis", "T", "--start", "0.5",
+                                                      "--stop", "1.5", "--count", "3"]])
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--m-max"])
+    def test_flag_is_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [flag, "10"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["rel_tol", "m_max", "rel-tol"])
+    def test_config_key_is_unknown(self, tmp_path, capsys, key):
+        config = tmp_path / "point.cfg"
+        config.write_text(f"{key}=10\n")
+        assert main(["point", "--config", str(config)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
