@@ -11,6 +11,7 @@ given to, required ones included (keys are the long flag names, with
 explicit flags always win, and any other key exits 2.  ``point`` and
 ``sweep`` take no series flags: the thermal series always runs to
 underflow, so ``--rel-tol`` and ``--m-max`` belong to ``validate`` alone.
+Both write their records with the serializer that ``--format`` names.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from .sweep import (
     run_sweep,
 )
 
+_WRITERS = {"csv": records_to_csv, "jsonl": records_to_jsonl}
+
 
 def _add_point_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mass", type=float, default=1.0, help="source mass M (geometric units)")
@@ -55,7 +58,7 @@ def _add_point_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--temperature", type=float, default=0.0, help="coordinate temperature T")
     parser.add_argument("--allow-naked", action="store_true",
                         help="admit |a| > M (over-spun source)")
-    parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    parser.add_argument("--format", choices=tuple(_WRITERS), default="csv")
     parser.add_argument("--output", default=None, help="output path (default stdout)")
     parser.add_argument("--config", default=None, help="key=value file with flag defaults")
 
@@ -165,9 +168,10 @@ def _build_request(args: argparse.Namespace) -> PointRequest:
     return PointRequest(params=params, orbit=orbit, cavity=cavity, T=args.temperature)
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
+def _write(records: list, args: argparse.Namespace) -> None:
+    text = _WRITERS[args.format](records)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -175,8 +179,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def _cmd_point(args: argparse.Namespace) -> int:
     record = evaluate_point(_build_request(args))
-    text = records_to_csv([record]) if args.format == "csv" else records_to_jsonl([record])
-    _emit(text, args.output)
+    _write([record], args)
     if record.status is not PointStatus.OK:
         print(f"kerrcasimir: point status {record.status.value}", file=sys.stderr)
         return 2
@@ -193,8 +196,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         base=_build_request(args),
     )
     records = run_sweep(spec, parallelism=args.parallelism)
-    text = records_to_csv(records) if args.format == "csv" else records_to_jsonl(records)
-    _emit(text, args.output)
+    _write(records, args)
     if not any(rec.status is PointStatus.OK for rec in records):
         print(f"kerrcasimir: none of the {len(records)} sweep points is ok", file=sys.stderr)
         return 2

@@ -123,7 +123,7 @@ def cavity_validity(
     alpha = (params.M - r) / (r * r)
     L_over_r = cavity.L / r
     ML_over_r2 = params.M * cavity.L / (r * r)
-    ok = abs(alpha) * cavity.L < alpha_L_threshold and L_over_r < L_over_r_threshold
+    ok = bool(abs(alpha) * cavity.L < alpha_L_threshold and L_over_r < L_over_r_threshold)
     return ValidityDiagnostics(
         alpha=alpha,
         L_over_r=L_over_r,

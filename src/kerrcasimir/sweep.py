@@ -8,7 +8,11 @@ A record is an ``OutputRecord`` named tuple whose fields are the CSV
 columns in order.  Failed points (forbidden orbit, inside horizon, naked
 singularity, non-finite or out-of-domain input, series truncation) keep
 their inputs and status and carry None in every result field; no
-exception escapes and no NaN/Inf is ever serialized.
+exception escapes.  The default kernel never truncates, so no point is
+truncation_error today; the status is kept for a computed truncation bound.
+Both serializers write each column's declared type as a plain value (a
+float, None for a missing or non-finite number, int, bool or the status
+string), so NaN/Inf never appear and int or numpy inputs become floats.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Optional, get_type_hints
 
 from .errors import DomainError, ForbiddenOrbitError, InsideHorizonError, TruncationError
 from .geometry import (
@@ -266,42 +271,42 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1) -> list[OutputRecord]:
     return [spec.evaluate_at(v) for v in spec.grid()]
 
 
-def _format_cell(value) -> str:
-    """Serialize one cell; 17 significant digits for floats, empty for
-    None and non-finite values so output never carries NaN/Inf."""
-    if value is None:
-        return ""
-    if isinstance(value, PointStatus):
-        return value.value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return ""
-        return f"{value:.17g}"
-    return str(value)
+def _finite(value) -> Optional[float]:
+    """The number as a float, or None when it is not a finite float."""
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
+# Plain value of a present cell, and its CSV spelling, per declared column
+# type.  A missing cell (None) is None in every column, so a non-finite
+# number joins it and neither format ever carries NaN/Inf.
+_COLUMN_TYPES = {
+    float: (_finite, "{:.17g}".format),
+    Optional[float]: (_finite, "{:.17g}".format),
+    Optional[int]: (int, str),
+    Optional[bool]: (bool, ("false", "true").__getitem__),
+    PointStatus: (attrgetter("value"), str),
+}
+_PLAIN, _SPELL = zip(*(_COLUMN_TYPES[t] for t in get_type_hints(OutputRecord).values()))
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def _plain(rec: OutputRecord) -> list:
+    """The record's cells as None, float, int, bool or str, by column type."""
+    return [None if value is None else plain(value) for plain, value in zip(_PLAIN, rec)]
 
 
 def records_to_csv(records: Iterable[OutputRecord]) -> str:
     """Fixed-column CSV with header; byte-stable for identical inputs."""
     lines = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(map(_format_cell, rec)))
+    for values in map(_plain, records):
+        lines.append(",".join(["" if v is None else spell(v) for spell, v in zip(_SPELL, values)]))
     return "\n".join(lines) + "\n"
 
 
 def records_to_jsonl(records: Iterable[OutputRecord]) -> str:
-    """One JSON object per line, same fields and formatting rules as the CSV."""
-    lines = []
-    for rec in records:
-        obj = {}
-        for col, value in zip(CSV_COLUMNS, rec):
-            if isinstance(value, PointStatus):
-                value = value.value
-            elif isinstance(value, float) and not math.isfinite(value):
-                value = None
-            obj[col] = value
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+    """One JSON object per line, holding the same plain values as the CSV."""
+    return "".join(_JSON.encode(dict(zip(CSV_COLUMNS, _plain(rec)))) + "\n" for rec in records)

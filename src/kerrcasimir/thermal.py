@@ -70,7 +70,8 @@ class SeriesControl:
     The sums run until their exponentially decaying terms underflow, so the
     achieved relative truncation is below any admissible rel_tol, the
     guaranteed bound.  Exceeding m_max terms raises TruncationError, which
-    the default never does (at most 111 terms are needed).
+    the default never does (at most 111 terms are needed).  Only
+    thermal_correction_exact takes one; every other quantity runs the default.
     """
 
     rel_tol: float = 1e-12
@@ -120,7 +121,7 @@ class CasimirReport:
     truncation_estimate: float
 
 
-def _kernel(bh: BetaHat, ctl: SeriesControl) -> tuple[float, float, float, float, int]:
+def _kernel(bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> tuple[float, float, float, float, int]:
     """Brackets (g, f, s, w) of the thermal quantities from one series pass.
 
         thermal_correction_exact = -Sp g/(32 pi Lp^3),
@@ -184,9 +185,9 @@ def _kernel(bh: BetaHat, ctl: SeriesControl) -> tuple[float, float, float, float
     return g, g + power, s, w, m - 1
 
 
-def _thermal_parts(frame: ProperFrame, bh: BetaHat, ctl: SeriesControl) -> tuple[float, float, float, int]:
-    """DeltaTF_ren, S_ren, U_ren - E0_ren and the terms of one series pass."""
-    _, f, s, w, terms = _kernel(bh, ctl)
+def _thermal_parts(frame: ProperFrame, bh: BetaHat) -> tuple[float, float, float, int]:
+    """DeltaTF_ren, S_ren, U_ren - E0_ren and the terms of one default series pass."""
+    _, f, s, w, terms = _kernel(bh)
     scale = frame.Sp / (16.0 * math.pi * frame.Lp**2)
     return -scale * f / (2.0 * frame.Lp), scale * s, scale * w / frame.Lp, terms
 
@@ -247,9 +248,7 @@ def blackbody_density(Tp: float) -> float:
     return -math.pi**2 * Tp**4 / 90.0
 
 
-def renorm_thermal_correction(
-    frame: ProperFrame, bh: BetaHat, ctl: SeriesControl = SeriesControl()
-) -> float:
+def renorm_thermal_correction(frame: ProperFrame, bh: BetaHat) -> float:
     """Renormalized thermal correction to the Casimir free energy.
 
     The full hyperbolic sum (its exponential part plus the zeta(3)/bh^3
@@ -259,7 +258,7 @@ def renorm_thermal_correction(
     linearly, approaching -zeta(3) Sp Tp/(16 pi Lp^2) + pi^2 Sp/(1440 Lp^3)
     (the classical term is not among the subtracted ones).
     """
-    return _thermal_parts(frame, bh, ctl)[0]
+    return _thermal_parts(frame, bh)[0]
 
 
 def total_free_energy(
@@ -267,20 +266,19 @@ def total_free_energy(
     params: KerrParams,
     orbit: EquatorialOrbit,
     bh: BetaHat,
-    ctl: SeriesControl = SeriesControl(),
 ) -> float:
     """Total renormalized Casimir free energy E0_ren + renormalized correction."""
-    return vacuum_energy(frame, params, orbit) + renorm_thermal_correction(frame, bh, ctl)
+    return vacuum_energy(frame, params, orbit) + renorm_thermal_correction(frame, bh)
 
 
-def entropy(frame: ProperFrame, bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> float:
+def entropy(frame: ProperFrame, bh: BetaHat) -> float:
     """Renormalized Casimir entropy -dF_ren/dTp (k_B = 1): bracket s of _kernel.
 
     Vanishes at zero temperature (third law), is positive throughout the
     low-temperature regime and tends to zeta(3) Sp/(16 pi Lp^2) at high
     temperature.
     """
-    return _thermal_parts(frame, bh, ctl)[1]
+    return _thermal_parts(frame, bh)[1]
 
 
 def internal_energy(
@@ -288,22 +286,16 @@ def internal_energy(
     params: KerrParams,
     orbit: EquatorialOrbit,
     bh: BetaHat,
-    ctl: SeriesControl = SeriesControl(),
 ) -> float:
     """Renormalized internal energy -Tp^2 d(F_ren/Tp)/dTp: E0_ren plus bracket w.
 
     Reduces to E0_ren at zero temperature and saturates at
     E0_ren + pi^2 Sp/(1440 Lp^3) at high temperature.
     """
-    return vacuum_energy(frame, params, orbit) + _thermal_parts(frame, bh, ctl)[2]
+    return vacuum_energy(frame, params, orbit) + _thermal_parts(frame, bh)[2]
 
 
-def casimir_report(
-    frame: ProperFrame,
-    params: KerrParams,
-    orbit: EquatorialOrbit,
-    ctl: SeriesControl = SeriesControl(),
-) -> CasimirReport:
+def casimir_report(frame: ProperFrame, params: KerrParams, orbit: EquatorialOrbit) -> CasimirReport:
     """Assemble every renormalized thermal quantity for one configuration.
 
     Uses the proper temperature stored in the frame.  F, S and U come from
@@ -314,7 +306,7 @@ def casimir_report(
     """
     bh = beta_hat(frame)
     E0 = vacuum_energy(frame, params, orbit)
-    DeltaTF_ren, S_ren, thermal_U, terms = _thermal_parts(frame, bh, ctl)
+    DeltaTF_ren, S_ren, thermal_U, terms = _thermal_parts(frame, bh)
     return CasimirReport(
         E0_ren=E0,
         DeltaTF_ren=DeltaTF_ren,

@@ -7,6 +7,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +22,15 @@ from kerrcasimir import (
     PointStatus,
     SweepAxis,
     SweepSpec,
+    TruncationError,
+    cavity_validity,
     dragging_angular_velocity,
     evaluate_point,
     records_to_csv,
     records_to_jsonl,
     run_sweep,
 )
+from kerrcasimir import sweep
 from kerrcasimir.cli import main
 from kerrcasimir.sweep import CSV_COLUMNS
 
@@ -77,6 +81,30 @@ def assert_finite_serialization(records):
         assert list(obj) == list(CSV_COLUMNS)
 
 
+def assert_formats_agree(records):
+    """Every CSV cell and its JSONL value are the same plain value."""
+    rows = list(csv.reader(io.StringIO(records_to_csv(records))))[1:]
+    objs = [json.loads(line) for line in records_to_jsonl(records).splitlines()]
+    assert len(rows) == len(objs) == len(records)
+    for row, obj in zip(rows, objs):
+        for column, cell in zip(CSV_COLUMNS, row):
+            value = obj[column]
+            if column == "status":
+                assert cell == value and PointStatus(value)
+            elif cell == "":
+                assert value is None
+            elif cell in ("true", "false"):
+                assert value is (cell == "true")
+            else:
+                assert type(value) is (int if column == "terms_used" else float)
+                assert float(cell) == value
+
+
+def result_fields(rec):
+    return {name: value for name, value in rec._asdict().items()
+            if name not in INPUTS and name != "status"}
+
+
 class TestSchema:
     def test_columns_are_the_record_fields(self):
         assert CSV_COLUMNS == OutputRecord._fields
@@ -110,6 +138,22 @@ class TestFailedRecords:
                        if name not in INPUTS and name != "status"}
             assert results and all(value is None for value in results.values())
 
+    def test_truncation_error_becomes_a_record(self, monkeypatch):
+        def truncated(*args):
+            raise TruncationError("not converged", partial_sum=1.0, tail_estimate=0.5, terms_used=3)
+
+        monkeypatch.setattr(sweep, "casimir_report", truncated)
+        req = kerr_request()
+        rec = evaluate_point(req)
+        assert rec.status is PointStatus.TRUNCATION_ERROR
+        assert rec[:7] == (req.params.M, req.params.a, req.orbit.r, req.orbit.Omega,
+                           req.cavity.L, req.cavity.S0, req.T)
+        assert all(value is None for value in result_fields(rec).values())
+        row = records_to_csv([rec]).splitlines()[1].split(",")
+        assert row[-1] == "truncation_error" and row[7:-1] == [""] * (len(CSV_COLUMNS) - 8)
+        assert json.loads(records_to_jsonl([rec]))["status"] == "truncation_error"
+        assert_formats_agree([rec])
+
 
 class TestNothingNonFiniteIsSerialized:
     @given(M=st.floats(), a=st.floats(), r=st.floats(), Omega=st.floats(),
@@ -134,6 +178,65 @@ class TestNothingNonFiniteIsSerialized:
         kept = getattr(records[-1], axis.value)
         assert kept == value or (math.isnan(kept) and math.isnan(value))
         assert_finite_serialization(records)
+
+
+class TestFormatsAgree:
+    @given(M=st.floats(), a=st.floats(), r=st.floats(), Omega=st.floats(),
+           L=st.floats(), S0=st.floats(), T=st.floats())
+    @settings(max_examples=200, deadline=1000)
+    def test_evaluated_points(self, M, a, r, Omega, L, S0, T):
+        req = PointRequest(
+            params=unchecked(KerrParams, M=M, a=a, black_hole_mode=True),
+            orbit=unchecked(EquatorialOrbit, r=r, Omega=Omega),
+            cavity=unchecked(CavityGeometry, L=L, S0=S0),
+            T=T,
+        )
+        assert_formats_agree([evaluate_point(req), evaluate_point(replace(kerr_request(), T=T))])
+
+    def test_sweeps_over_every_status(self):
+        base = kerr_request()
+        specs = [
+            SweepSpec(axis=SweepAxis.R, start=0.5, stop=30.0, count=16, base=base),
+            SweepSpec(axis=SweepAxis.OMEGA, start=-0.15, stop=0.15, count=16, base=base),
+            SweepSpec(axis=SweepAxis.T, start=0.0, stop=1e3, count=16, base=base),
+            SweepSpec(axis=SweepAxis.A, start=0.0, stop=1.5, count=16, base=base),
+        ]
+        records = [rec for spec in specs for rec in run_sweep(spec)]
+        assert {rec.status for rec in records} == set(PointStatus) - {PointStatus.TRUNCATION_ERROR}
+        assert_formats_agree(records)
+
+    def test_no_records(self):
+        assert records_to_csv([]) == ",".join(CSV_COLUMNS) + "\n"
+        assert records_to_jsonl([]) == ""
+
+
+class TestNumpyScalarInputs:
+    def test_records_serialize_as_plain_values(self):
+        req = kerr_request()
+        numpy_cavity = CavityGeometry(L=np.float64(0.01), S0=1e-4)
+        assert type(cavity_validity(req.params, req.orbit, numpy_cavity).small_cavity_ok) is bool
+        records = [
+            evaluate_point(replace(req, cavity=numpy_cavity)),
+            evaluate_point(replace(req, T=np.float32(1.0))),
+        ]
+        rows = list(csv.DictReader(io.StringIO(records_to_csv(records))))
+        objs = [json.loads(line) for line in records_to_jsonl(records).splitlines()]
+        for rec, row, obj in zip(records, rows, objs):
+            assert rec.status is PointStatus.OK
+            assert row["small_cavity_ok"] in ("true", "false")
+            assert obj["small_cavity_ok"] is (row["small_cavity_ok"] == "true")
+            for column in ("L", "T", "Lp", "Tp", "F_ren", "S_ren", "U_ren"):
+                assert row[column] == f"{float(getattr(rec, column)):.17g}"
+                assert obj[column] == float(row[column])
+        assert rows[1]["T"] == "1"
+        assert_formats_agree(records)
+
+    def test_int_beyond_the_float_range_is_missing(self):
+        rec = evaluate_point(replace(kerr_request(), T=10**400))
+        assert rec.status is PointStatus.INVALID_INPUT
+        assert next(csv.DictReader(io.StringIO(records_to_csv([rec]))))["T"] == ""
+        assert json.loads(records_to_jsonl([rec]))["T"] is None
+        assert_formats_agree([rec])
 
 
 class TestSeriesFlagsRemoved:
