@@ -11,8 +11,8 @@ accurate up to terms that vanish faster than any power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError
 from .geometry import EquatorialOrbit, KerrParams, ProperFrame
@@ -33,8 +33,7 @@ class Regime(str, Enum):
     HIGH_T = "high_T"
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     """Asymptotic estimate plus the magnitude scale of the first neglected term.
 
     ``leading_correction`` carries the printed sign of the correction

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -106,8 +107,7 @@ class CavityGeometry:
             raise DomainError(f"plate area must be > 0, got S0={self.S0}")
 
 
-@dataclass(frozen=True)
-class MetricFunctions:
+class MetricFunctions(NamedTuple):
     """Equatorial metric functions Sigma = r^2, Delta = r^2 + a^2 - 2Mr,
     A = (r^2 + a^2) r^2 + 2 M r a^2."""
 
@@ -116,8 +116,7 @@ class MetricFunctions:
     BigA: float
 
 
-@dataclass(frozen=True)
-class HatMetric:
+class HatMetric(NamedTuple):
     """Metric components in the comoving Cartesian frame (t, x, y, z).
 
     x is tangent to the orbit, y points radially outward, z is normal to

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .geometry import CavityGeometry, EquatorialOrbit, KerrParams, _observer
@@ -41,13 +42,13 @@ class ModeIndex:
             raise DomainError(f"mode number must be >= 1, got n={self.n}")
 
 
-@dataclass(frozen=True)
-class ValidityDiagnostics:
+class ValidityDiagnostics(NamedTuple):
     """Dimensionless measures of how well the small-cavity limit holds.
 
     alpha = (M - r)/r^2 is the coefficient of the neglected first-derivative
     term in the exact wave equation; L/r and ML/r^2 quantify the cavity-size
     assumption.  ``small_cavity_ok`` is a guidance flag, not a hard gate.
+    The fields are OutputRecord's diagnostic columns, in order.
     """
 
     alpha: float

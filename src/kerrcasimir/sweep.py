@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, get_type_hints
@@ -125,14 +125,15 @@ class SweepSpec:
         (or one of its subclasses) if the value leaves the valid domain."""
         b = self.base
         if self.axis is SweepAxis.R:
-            return replace(b, orbit=replace(b.orbit, r=value))
+            return PointRequest(b.params, EquatorialOrbit(value, b.orbit.Omega), b.cavity, b.T)
         if self.axis is SweepAxis.OMEGA:
-            return replace(b, orbit=replace(b.orbit, Omega=value))
+            return PointRequest(b.params, EquatorialOrbit(b.orbit.r, value), b.cavity, b.T)
         if self.axis is SweepAxis.T:
-            return replace(b, T=value)
+            return PointRequest(b.params, b.orbit, b.cavity, value)
         if self.axis is SweepAxis.L:
-            return replace(b, cavity=replace(b.cavity, L=value))
-        return replace(b, params=replace(b.params, a=value))
+            return PointRequest(b.params, b.orbit, CavityGeometry(value, b.cavity.S0), b.T)
+        params = KerrParams(b.params.M, value, b.params.black_hole_mode)
+        return PointRequest(params, b.orbit, b.cavity, b.T)
 
     def evaluate_at(self, value: float) -> OutputRecord:
         """Evaluate one grid value; domain violations at construction time
@@ -149,10 +150,11 @@ class SweepSpec:
 class OutputRecord(NamedTuple):
     """One grid point: inputs, proper frame, thermal report, diagnostics, status.
 
-    The fields are the CSV columns in order (see CSV_COLUMNS).  Result
-    fields are None for points whose status is not 'ok';
-    identity_residual is the relative residual of U - (F + Tp*S), recorded
-    as an always-on internal consistency diagnostic.
+    The fields are the CSV columns in order (see CSV_COLUMNS): the inputs,
+    then the ProperFrame fields, a CasimirReport and a ValidityDiagnostics,
+    each in its own field order.  Result fields are None for points whose
+    status is not 'ok'; identity_residual is the relative residual of
+    U - (F + Tp*S), recorded as an always-on internal consistency diagnostic.
     """
 
     M: float
@@ -233,29 +235,8 @@ def evaluate_point(req: PointRequest) -> OutputRecord:
     if not (finite and identity_residual <= _IDENTITY_TOL):
         return _failed(base, PointStatus.INVALID_INPUT)
 
-    return OutputRecord(
-        *base,
-        C=frame.C,
-        Lp=frame.Lp,
-        Sp=frame.Sp,
-        Vp=frame.Vp,
-        Tp=frame.Tp,
-        E0_ren=report.E0_ren,
-        DeltaTF_ren=report.DeltaTF_ren,
-        F_ren=report.F_ren,
-        S_ren=report.S_ren,
-        U_ren=report.U_ren,
-        f_bb=report.f_bb,
-        beta_hat=report.beta_hat,
-        terms_used=report.terms_used,
-        truncation_estimate=report.truncation_estimate,
-        alpha=validity.alpha,
-        L_over_r=validity.L_over_r,
-        ML_over_r2=validity.ML_over_r2,
-        small_cavity_ok=validity.small_cavity_ok,
-        identity_residual=identity_residual,
-        status=PointStatus.OK,
-    )
+    return OutputRecord(*base, frame.C, frame.Lp, frame.Sp, frame.Vp, frame.Tp,
+                        *report, *validity, identity_residual, PointStatus.OK)
 
 
 def run_sweep(spec: SweepSpec, parallelism: int = 1) -> list[OutputRecord]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, TruncationError
 from .geometry import EquatorialOrbit, KerrParams, ProperFrame, _observer
@@ -84,8 +85,7 @@ class SeriesControl:
             raise DomainError(f"m_max must be >= 1, got {self.m_max}")
 
 
-@dataclass(frozen=True)
-class BetaHat:
+class BetaHat(NamedTuple):
     """Dimensionless inverse proper temperature, 1/(2*Lp*Tp).
 
     Infinite at exactly zero temperature; all thermal kernels accept that
@@ -95,8 +95,7 @@ class BetaHat:
     value: float
 
 
-@dataclass(frozen=True)
-class CasimirReport:
+class CasimirReport(NamedTuple):
     """Full set of renormalized thermal quantities plus series diagnostics.
 
     F_ren = E0_ren + DeltaTF_ren holds by construction and
@@ -108,6 +107,7 @@ class CasimirReport:
     underflow; beta_hat is infinite on the zero-temperature path.
     DeltaTF_ren, S_ren and U_ren - E0_ren depend on the comoving Lp, Sp and
     Tp only; E0_ren carries the ZAMO's cavity volume (see vacuum_energy).
+    The fields are OutputRecord's report columns, in order.
     """
 
     E0_ren: float

@@ -4,7 +4,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,19 +13,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerrcasimir import (
+    AsymptoticReport,
+    BetaHat,
+    CasimirReport,
     CavityGeometry,
     DomainError,
     EquatorialOrbit,
+    HatMetric,
     KerrParams,
+    MetricFunctions,
     OutputRecord,
     PointRequest,
     PointStatus,
+    ProperFrame,
     SweepAxis,
     SweepSpec,
     TruncationError,
+    ValidityDiagnostics,
+    beta_hat,
+    casimir_report,
     cavity_validity,
+    comoving_metric,
     dragging_angular_velocity,
+    equatorial_metric_functions,
     evaluate_point,
+    low_T_entropy,
+    proper_frame,
     records_to_csv,
     records_to_jsonl,
     run_sweep,
@@ -119,6 +132,35 @@ class TestSchema:
 
     def test_readme_documents_the_csv_header(self):
         assert ",".join(CSV_COLUMNS) in README.read_text(encoding="utf-8")
+
+    def test_frame_report_and_diagnostics_are_record_columns_in_order(self):
+        """evaluate_point lays these values end to end into the record."""
+        assert CSV_COLUMNS[7:12] == tuple(field.name for field in fields(ProperFrame))
+        assert CSV_COLUMNS[12:21] == CasimirReport._fields
+        assert CSV_COLUMNS[21:25] == ValidityDiagnostics._fields
+
+
+def computed_values():
+    """One instance of each computed, read-only value type."""
+    req = kerr_request()
+    frame = proper_frame(req.params, req.orbit, req.cavity, req.T)
+    return [
+        equatorial_metric_functions(req.params, req.orbit.r),
+        comoving_metric(req.params, req.orbit),
+        beta_hat(frame),
+        casimir_report(frame, req.params, req.orbit),
+        cavity_validity(req.params, req.orbit, req.cavity),
+        low_T_entropy(frame, frame.Tp),
+    ]
+
+
+@pytest.mark.parametrize("value", computed_values(), ids=lambda value: type(value).__name__)
+def test_computed_values_are_read_only_named_tuples(value):
+    assert type(value) in (MetricFunctions, HatMetric, BetaHat, CasimirReport,
+                           ValidityDiagnostics, AsymptoticReport)
+    assert isinstance(value, tuple)
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], 0.0)
 
 
 class TestFailedRecords:
