@@ -21,7 +21,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, InsideHorizonError
 from .geometry import (
     CavityGeometry,
     EquatorialOrbit,
@@ -35,6 +35,7 @@ from .sweep import (
     PointStatus,
     SweepAxis,
     SweepSpec,
+    _failed,
     evaluate_point,
     records_to_csv,
     records_to_jsonl,
@@ -163,8 +164,8 @@ def _resolve_omega(spec: str, params: KerrParams, r: float) -> EquatorialOrbit:
 
 def _build_request(args: argparse.Namespace) -> PointRequest:
     params = KerrParams(M=args.mass, a=args.spin, black_hole_mode=not args.allow_naked)
-    orbit = _resolve_omega(args.omega, params, args.radius)
     cavity = CavityGeometry(L=args.length, S0=args.area)
+    orbit = _resolve_omega(args.omega, params, args.radius)
     return PointRequest(params=params, orbit=orbit, cavity=cavity, T=args.temperature)
 
 
@@ -178,7 +179,14 @@ def _write(records: list, args: argparse.Namespace) -> None:
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
-    record = evaluate_point(_build_request(args))
+    try:
+        record = evaluate_point(_build_request(args))
+    except InsideHorizonError:
+        # 'zamo' and 'frac=' need the dragging velocity, which does not
+        # exist inside the horizon: the record keeps an empty Omega cell.
+        inputs = (args.mass, args.spin, args.radius, None, args.length, args.area,
+                  args.temperature)
+        record = _failed(inputs, PointStatus.INSIDE_HORIZON)
     _write([record], args)
     if record.status is not PointStatus.OK:
         print(f"kerrcasimir: point status {record.status.value}", file=sys.stderr)

@@ -13,6 +13,12 @@ truncation_error today; the status is kept for a computed truncation bound.
 Both serializers write each column's declared type as a plain value (a
 float, None for a missing or non-finite number, int, bool or the status
 string), so NaN/Inf never appear and int or numpy inputs become floats.
+A complete row (status ok, every float cell an exact finite ``float``,
+``terms_used`` an ``int`` and ``small_cavity_ok`` a ``bool``, as
+``evaluate_point`` builds it) is spelled by one %-format call over a row
+template built at import from the declared column types.  Every other row
+(a None cell, a non-finite, numpy or int-typed value, a failed status)
+takes the per-cell path; both paths write the same bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Optional, get_type_hints
 
 from .errors import DomainError, ForbiddenOrbitError, InsideHorizonError, TruncationError
@@ -261,18 +267,55 @@ def _finite(value) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-# Plain value of a present cell, and its CSV spelling, per declared column
-# type.  A missing cell (None) is None in every column, so a non-finite
-# number joins it and neither format ever carries NaN/Inf.
+# Per declared column type: the exact type the cell has in a complete row,
+# the plain value of a present cell, and its CSV spelling.  A missing cell
+# (None) is None in every column, so a non-finite number joins it and
+# neither format ever carries NaN/Inf.
 _COLUMN_TYPES = {
-    float: (_finite, "{:.17g}".format),
-    Optional[float]: (_finite, "{:.17g}".format),
-    Optional[int]: (int, str),
-    Optional[bool]: (bool, ("false", "true").__getitem__),
-    PointStatus: (attrgetter("value"), str),
+    float: (float, _finite, "{:.17g}".format),
+    Optional[float]: (float, _finite, "{:.17g}".format),
+    Optional[int]: (int, int, str),
+    Optional[bool]: (bool, bool, ("false", "true").__getitem__),
+    PointStatus: (PointStatus, attrgetter("value"), str),
 }
-_PLAIN, _SPELL = zip(*(_COLUMN_TYPES[t] for t in get_type_hints(OutputRecord).values()))
+_EXACT, _PLAIN, _SPELL = zip(*(_COLUMN_TYPES[t] for t in get_type_hints(OutputRecord).values()))
 _JSON = json.JSONEncoder(separators=(",", ":"))
+
+# A complete row (see _complete) is spelled by one %-format call over its
+# float and int cells.  "%.17g" % x is "{:.17g}".format(x), %r of a float is
+# the float.__repr__ that json writes, and %d of an int is str(), so the
+# template writes the bytes of the per-cell path.
+_CONVERSIONS = {float: ("%.17g", "%r"), int: ("%d", "%d")}
+_FLOATS = itemgetter(*(i for i, exact in enumerate(_EXACT) if exact is float))
+_NUMBERS = itemgetter(*(i for i, exact in enumerate(_EXACT) if exact in _CONVERSIONS))
+
+
+def _row_templates(flag: bool) -> tuple[str, str]:
+    """CSV and JSONL templates of a complete row whose small_cavity_ok is
+    ``flag``: a conversion per number cell, and fixed text for the flag and
+    the ok status."""
+    fixed = {bool: flag, PointStatus: PointStatus.OK}
+    csv_cells, json_cells = [], []
+    for name, exact, plain, spell in zip(CSV_COLUMNS, _EXACT, _PLAIN, _SPELL):
+        if exact in _CONVERSIONS:
+            csv_cell, json_cell = _CONVERSIONS[exact]
+        else:
+            value = plain(fixed[exact])
+            csv_cell, json_cell = spell(value), _JSON.encode(value)
+        csv_cells.append(csv_cell)
+        json_cells.append(_JSON.encode(name) + ":" + json_cell)
+    return ",".join(csv_cells), "{" + ",".join(json_cells) + "}"
+
+
+# Indexed by small_cavity_ok.
+_CSV_ROW, _JSONL_ROW = zip(_row_templates(False), _row_templates(True))
+
+
+def _complete(rec: OutputRecord) -> bool:
+    """An ok record whose cells have their exact column types (no None, no
+    numpy scalar, no int in a float column) and whose floats are finite."""
+    return (rec[-1] is PointStatus.OK and tuple(map(type, rec)) == _EXACT
+            and math.isfinite(sum(_FLOATS(rec))))
 
 
 def _plain(rec: OutputRecord) -> list:
@@ -283,11 +326,17 @@ def _plain(rec: OutputRecord) -> list:
 def records_to_csv(records: Iterable[OutputRecord]) -> str:
     """Fixed-column CSV with header; byte-stable for identical inputs."""
     lines = [",".join(CSV_COLUMNS)]
-    for values in map(_plain, records):
-        lines.append(",".join(["" if v is None else spell(v) for spell, v in zip(_SPELL, values)]))
+    for rec in records:
+        if _complete(rec):
+            lines.append(_CSV_ROW[rec.small_cavity_ok] % _NUMBERS(rec))
+        else:
+            lines.append(",".join(["" if v is None else spell(v)
+                                   for spell, v in zip(_SPELL, _plain(rec))]))
     return "\n".join(lines) + "\n"
 
 
 def records_to_jsonl(records: Iterable[OutputRecord]) -> str:
     """One JSON object per line, holding the same plain values as the CSV."""
-    return "".join(_JSON.encode(dict(zip(CSV_COLUMNS, _plain(rec)))) + "\n" for rec in records)
+    lines = [_JSONL_ROW[rec.small_cavity_ok] % _NUMBERS(rec) if _complete(rec)
+             else _JSON.encode(dict(zip(CSV_COLUMNS, _plain(rec)))) for rec in records]
+    return "".join(line + "\n" for line in lines)

@@ -1,0 +1,69 @@
+"""The pure summary of tools/bench_pairs.py: quartiles, wins and the gain rule."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+summarize = bench_pairs.summarize
+
+
+def test_median_and_quartiles_interpolate_between_order_statistics():
+    s = summarize([5.0, 1.0, 4.0, 2.0, 3.0], [1.0] * 5, "higher")
+    assert (s["parent"]["q1"], s["parent"]["median"], s["parent"]["q3"]) == (2.0, 3.0, 4.0)
+    s = summarize([1.0, 2.0, 3.0, 4.0], [1.0] * 4, "higher")
+    assert (s["parent"]["q1"], s["parent"]["median"], s["parent"]["q3"]) == (1.75, 2.5, 3.25)
+    s = summarize([7.0], [8.0], "higher")
+    assert s["parent"]["q1"] == s["parent"]["median"] == s["parent"]["q3"] == 7.0
+
+
+def test_ties_count_for_neither_side():
+    s = summarize([1.0, 2.0, 3.0], [2.0, 2.0, 1.0], "higher")
+    assert s["wins"] == {"change": 1, "parent": 1, "ties": 1}
+    s = summarize([1.0, 2.0, 3.0], [2.0, 2.0, 1.0], "lower")
+    assert s["wins"] == {"change": 1, "parent": 1, "ties": 1}
+
+
+PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.5, 98.5, 100.0, 100.0]
+
+
+def test_gain_needs_nine_of_ten_wins():
+    nine = [130.0] * 9 + [90.0]
+    assert summarize(PARENT, nine, "higher")["gain"]
+    eight = [130.0] * 8 + [90.0, 90.0]
+    assert not summarize(PARENT, eight, "higher")["gain"]
+    nine_and_a_tie = [130.0] * 9 + [PARENT[-1]]
+    s = summarize(PARENT, nine_and_a_tie, "higher")
+    assert s["wins"] == {"change": 9, "parent": 0, "ties": 1} and s["gain"]
+    eight_and_two_ties = [130.0] * 8 + PARENT[-2:]
+    assert not summarize(PARENT, eight_and_two_ties, "higher")["gain"]
+
+
+def test_gain_needs_a_median_gap_beyond_the_parent_quartile_distance():
+    s = summarize(PARENT, [p + 0.1 for p in PARENT], "higher")
+    assert s["wins"]["change"] == 10
+    parent_iqr = s["parent"]["q3"] - s["parent"]["q1"]
+    assert 0.0 < s["change"]["median"] - s["parent"]["median"] < parent_iqr
+    assert not s["gain"]
+    assert summarize(PARENT, [p + 2.0 for p in PARENT], "higher")["gain"]
+
+
+def test_lower_is_better_flips_the_direction():
+    faster = [p - 20.0 for p in PARENT]
+    assert summarize(PARENT, faster, "lower")["gain"]
+    assert not summarize(PARENT, faster, "higher")["gain"]
+    assert summarize(PARENT, faster, "lower")["wins"]["change"] == 10
+
+
+@pytest.mark.parametrize("parent, change, better", [
+    ([1.0, 2.0], [1.0], "higher"),
+    ([], [], "higher"),
+    ([1.0], [2.0], "faster"),
+])
+def test_rejects_unpaired_or_empty_values_and_unknown_directions(parent, change, better):
+    with pytest.raises(ValueError):
+        summarize(parent, change, better)

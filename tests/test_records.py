@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kerrcasimir import (
@@ -250,6 +250,122 @@ class TestFormatsAgree:
     def test_no_records(self):
         assert records_to_csv([]) == ",".join(CSV_COLUMNS) + "\n"
         assert records_to_jsonl([]) == ""
+
+
+# The writers' reference: each cell's plain value, spelled with "{:.17g}"
+# per CSV cell and json.dumps per JSONL line.
+COUNT_COLUMN, FLAG_COLUMN = "terms_used", "small_cavity_ok"
+FLOAT_COLUMNS = [c for c in CSV_COLUMNS if c not in (COUNT_COLUMN, FLAG_COLUMN, "status")]
+
+
+def reference_plain(column, value):
+    if value is None:
+        return None
+    if column == "status":
+        return value.value
+    if column == COUNT_COLUMN:
+        return int(value)
+    if column == FLAG_COLUMN:
+        return bool(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def reference_csv(records):
+    lines = [",".join(CSV_COLUMNS)]
+    for rec in records:
+        cells = []
+        for column, value in zip(CSV_COLUMNS, rec):
+            value = reference_plain(column, value)
+            if value is None:
+                cells.append("")
+            elif column == FLAG_COLUMN:
+                cells.append("true" if value else "false")
+            elif column in FLOAT_COLUMNS:
+                cells.append("{:.17g}".format(value))
+            else:
+                cells.append(str(value))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_jsonl(records):
+    return "".join(
+        json.dumps({c: reference_plain(c, v) for c, v in zip(CSV_COLUMNS, rec)},
+                   separators=(",", ":")) + "\n"
+        for rec in records
+    )
+
+
+EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def complete_records(draw):
+    """An ok record with every cell of its exact column type, as evaluate_point builds it."""
+    floats = dict(zip(FLOAT_COLUMNS, draw(st.lists(finite_floats, min_size=len(FLOAT_COLUMNS),
+                                                   max_size=len(FLOAT_COLUMNS)))))
+    return OutputRecord(**floats, terms_used=draw(st.integers(0, 10**6)),
+                        small_cavity_ok=draw(st.booleans()), status=PointStatus.OK)
+
+
+# One cell that sends a row down the per-cell path, by kind: (column, value).
+float_columns = st.sampled_from(FLOAT_COLUMNS)
+HOLES = {
+    "None": st.tuples(st.sampled_from(CSV_COLUMNS[:-1]), st.none()),
+    "nan": st.tuples(float_columns, st.just(math.nan)),
+    "inf": st.tuples(float_columns, st.sampled_from([math.inf, -math.inf])),
+    "np.float64": st.tuples(float_columns, finite_floats.map(np.float64)),
+    "np.float32": st.tuples(float_columns, st.floats(width=32, allow_nan=False,
+                                                     allow_infinity=False).map(np.float32)),
+    "int": st.tuples(float_columns, st.integers(-(2**64), 2**64)),
+    "int beyond the float range": st.tuples(float_columns, st.sampled_from([10**400, -(10**400)])),
+    "failed status": st.tuples(st.just("status"), st.sampled_from(list(PointStatus)[1:])),
+}
+
+
+class TestRowTemplates:
+    """Complete rows are spelled from a prebuilt template, every other row
+    cell by cell; both give the bytes of the reference."""
+
+    @given(rec=complete_records())
+    @example(rec=OutputRecord(**dict(zip(FLOAT_COLUMNS, EDGE_FLOATS * 5)), terms_used=1,
+                              small_cavity_ok=False, status=PointStatus.OK))
+    @settings(max_examples=100)
+    def test_complete_rows(self, rec):
+        assert records_to_csv([rec]) == reference_csv([rec])
+        assert records_to_jsonl([rec]) == reference_jsonl([rec])
+
+    @pytest.mark.parametrize("hole", list(HOLES))
+    @given(data=st.data())
+    @settings(max_examples=25)
+    def test_rows_with_a_hole(self, hole, data):
+        column, value = data.draw(HOLES[hole])
+        rec = data.draw(complete_records())._replace(**{column: value})
+        assert records_to_csv([rec]) == reference_csv([rec])
+        assert records_to_jsonl([rec]) == reference_jsonl([rec])
+
+    def test_complete_rows_skip_the_per_cell_path(self, monkeypatch):
+        """The template path is taken, not merely equal in its bytes."""
+        calls = []
+        per_cell = sweep._plain
+        monkeypatch.setattr(sweep, "_plain", lambda rec: calls.append(rec) or per_cell(rec))
+        spec = SweepSpec(axis=SweepAxis.R, start=3.0, stop=30.0, count=16, base=kerr_request())
+        records = run_sweep(spec)
+        assert all(rec.status is PointStatus.OK for rec in records)
+        records_to_csv(records)
+        records_to_jsonl(records)
+        assert calls == []
+        records[5] = records[5]._replace(F_ren=None)
+        records_to_csv(records)
+        assert calls == [records[5]]
+        records_to_jsonl(records)
+        assert calls == [records[5]] * 2
 
 
 class TestNumpyScalarInputs:

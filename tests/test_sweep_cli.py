@@ -343,6 +343,33 @@ class TestCli:
         assert main(["point", "--length", "0"]) == 2
         assert main(["point", "--omega", "frac=1.5"]) == 2
 
+    @pytest.mark.parametrize("omega", ["zamo", "frac=0.5"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_point_preset_inside_the_horizon_writes_its_record(self, capsys, omega, fmt):
+        """No dragging velocity exists inside the horizon, so the record keeps
+        the inputs as given with an empty Omega cell."""
+        code = main(["point", "--spin", "0.5", "--radius", "1.5", "--omega", omega,
+                     "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "kerrcasimir: point status inside_horizon\n"
+        if fmt == "csv":
+            row = next(csv.DictReader(io.StringIO(captured.out)))
+            assert row["status"] == "inside_horizon" and row["Omega"] == ""
+            assert (row["M"], row["a"], row["r"], row["L"], row["S0"], row["T"]) == (
+                "1", "0.5", "1.5", "0.01", "0.0001", "0")
+        else:
+            obj = json.loads(captured.out)
+            assert obj["status"] == "inside_horizon" and obj["Omega"] is None
+            assert (obj["M"], obj["a"], obj["r"], obj["T"]) == (1.0, 0.5, 1.5, 0.0)
+
+    def test_point_band_fraction_outside_the_band_is_an_input_error(self, capsys):
+        """frac= outside (-1, 1) exits 2 with its message, inside the horizon too."""
+        assert main(["point", "--spin", "0.5", "--radius", "1.5", "--omega", "frac=1.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "band fraction must lie strictly inside (-1, 1)" in captured.err
+
     def test_sweep_deterministic_across_parallelism(self, tmp_path):
         args = ["sweep", "--mass", "0", "--spin", "0", "--radius", "10",
                 "--omega", "0", "--length", "1", "--area", "1",
