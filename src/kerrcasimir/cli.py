@@ -19,7 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from dataclasses import fields
+from typing import Optional, Sequence, get_type_hints
 
 from .errors import DomainError, InsideHorizonError
 from .geometry import (
@@ -85,11 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="accepted for compatibility (>= 1); points run in grid order")
 
     p_val = sub.add_parser("validate", help="run the brute-force oracle suite")
-    p_val.add_argument("--n-max", type=int, default=10**5)
-    p_val.add_argument("--m-max", type=int, default=10**5)
-    p_val.add_argument("--quad-points", type=int, default=200)
-    p_val.add_argument("--fd-step", type=float, default=1e-5)
-    p_val.add_argument("--rel-tol", type=float, default=1e-12)
+    # One flag per OracleConfig field (n_max <-> --n-max), typed and
+    # defaulted by the field itself.
+    types = get_type_hints(OracleConfig)
+    for field in fields(OracleConfig):
+        p_val.add_argument("--" + field.name.replace("_", "-"),
+                           type=types[field.name], default=field.default)
     p_val.add_argument("--output", default=None, help="write the JSON report here")
     p_val.add_argument("--config", default=None, help="key=value file with flag defaults")
 
@@ -212,13 +214,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg = OracleConfig(
-        n_max=args.n_max,
-        m_max=args.m_max,
-        quad_points=args.quad_points,
-        fd_step=args.fd_step,
-        rel_tol=args.rel_tol,
-    )
+    cfg = OracleConfig(**{f.name: getattr(args, f.name) for f in fields(OracleConfig)})
     checks = validation_checks(cfg)
     width = max(len(c["name"]) for c in checks)
     for c in checks:

@@ -1,5 +1,16 @@
 """Exception hierarchy shared by all kerrcasimir modules."""
 
+__all__ = [
+    "KerrCasimirError",
+    "DomainError",
+    "NakedSingularityError",
+    "InsideHorizonError",
+    "ForbiddenOrbitError",
+    "TruncationError",
+    "QuadratureError",
+    "FDStepError",
+]
+
 
 class KerrCasimirError(Exception):
     """Base class for all package errors."""

@@ -39,7 +39,6 @@ __all__ = [
     "velocity_normalization",
     "comoving_metric",
     "proper_frame",
-    "zamo_angular_velocity",
     "orbit_from_band_fraction",
 ]
 
@@ -286,11 +285,6 @@ def proper_frame(
     if not all(map(math.isfinite, (frame.Lp, frame.Sp, frame.Vp, frame.Tp))):
         raise DomainError(f"proper frame is not finite: {frame}")
     return frame
-
-
-def zamo_angular_velocity(params: KerrParams, r: float) -> float:
-    """Angular velocity of the zero-angular-momentum observer (equals omega_d)."""
-    return dragging_angular_velocity(params, r)
 
 
 def orbit_from_band_fraction(params: KerrParams, r: float, fraction: float) -> EquatorialOrbit:

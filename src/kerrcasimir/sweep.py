@@ -43,6 +43,7 @@ from .thermal import casimir_report
 __all__ = [
     "PointStatus",
     "PointRequest",
+    "SweepAxis",
     "SweepSpec",
     "OutputRecord",
     "evaluate_point",
@@ -102,8 +103,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.count < 2:
             raise DomainError(f"sweep count must be >= 2, got {self.count}")
-        if not (self.start < self.stop):
-            raise DomainError(f"sweep needs start < stop, got [{self.start}, {self.stop}]")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop) and self.start < self.stop):
+            raise DomainError(f"sweep needs finite start < stop, got [{self.start}, {self.stop}]")
         if self.scale not in ("linear", "log"):
             raise DomainError(f"scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and self.start <= 0.0:

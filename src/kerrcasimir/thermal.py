@@ -189,7 +189,8 @@ def _thermal_parts(frame: ProperFrame, bh: BetaHat) -> tuple[float, float, float
     """DeltaTF_ren, S_ren, U_ren - E0_ren and the terms of one default series pass."""
     _, f, s, w, terms = _kernel(bh)
     scale = frame.Sp / (16.0 * math.pi * frame.Lp**2)
-    return -scale * f / (2.0 * frame.Lp), scale * s, scale * w / frame.Lp, terms
+    # 0.0 - x is exactly -x, except that it gives +0.0 where -x is -0.0.
+    return 0.0 - scale * f / (2.0 * frame.Lp), scale * s, scale * w / frame.Lp, terms
 
 
 def flat_casimir_density(Lp: float) -> float:
@@ -245,7 +246,7 @@ def blackbody_density(Tp: float) -> float:
     """Free-energy density -pi^2 Tp^4/90 of scalar black-body radiation."""
     if Tp < 0.0:
         raise DomainError(f"proper temperature must be >= 0, got Tp={Tp}")
-    return -math.pi**2 * Tp**4 / 90.0
+    return 0.0 - math.pi**2 * Tp**4 / 90.0  # +0.0, not -0.0, at Tp = 0
 
 
 def renorm_thermal_correction(frame: ProperFrame, bh: BetaHat) -> float:

@@ -213,13 +213,27 @@ class TestNothingNonFiniteIsSerialized:
     @given(axis=st.sampled_from(list(SweepAxis)), value=st.floats())
     @settings(max_examples=200, deadline=1000)
     def test_sweep_axis_values(self, axis, value):
-        spec = SweepSpec(axis=axis, start=0.5, stop=math.inf, count=3, base=kerr_request())
-        grid = spec.grid()
-        assert grid[-1] == math.inf
-        records = [spec.evaluate_at(v) for v in (*grid, value)]
+        spec = SweepSpec(axis=axis, start=0.5, stop=2.0, count=3, base=kerr_request())
+        records = [spec.evaluate_at(v) for v in (*spec.grid(), math.inf, -math.inf, math.nan, value)]
         kept = getattr(records[-1], axis.value)
         assert kept == value or (math.isnan(kept) and math.isnan(value))
         assert_finite_serialization(records)
+
+
+class TestNoNegativeZero:
+    def test_zero_temperature_record(self):
+        # DeltaTF_ren and f_bb vanish at T = 0: +0.0, so no cell reads -0 or -0.0.
+        rec = evaluate_point(kerr_request(T=0.0))
+        assert rec.status is PointStatus.OK
+        assert (rec.DeltaTF_ren, rec.f_bb) == (0.0, 0.0)
+
+        def negative_zeros(values):
+            return [v for v in values
+                    if isinstance(v, float) and v == 0.0 and math.copysign(1.0, v) < 0]
+
+        assert negative_zeros(rec) == []
+        assert negative_zeros(json.loads(records_to_jsonl([rec])).values()) == []
+        assert "-0" not in records_to_csv([rec]).splitlines()[1].split(",")
 
 
 class TestFormatsAgree:

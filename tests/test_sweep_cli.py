@@ -19,6 +19,7 @@ from kerrcasimir import (
     DomainError,
     EquatorialOrbit,
     KerrParams,
+    OracleConfig,
     PointRequest,
     PointStatus,
     SweepAxis,
@@ -247,6 +248,10 @@ class TestRunSweep:
                       base=flat_request())
         with pytest.raises(DomainError):
             SweepSpec(axis=SweepAxis.T, start=0.0, stop=1.0, count=1, base=flat_request())
+        for start, stop in ((0.1, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.1, math.nan),
+                            (-math.inf, math.inf)):
+            with pytest.raises(DomainError, match="finite start < stop"):
+                SweepSpec(axis=SweepAxis.T, start=start, stop=stop, count=4, base=flat_request())
 
 
 class TestSerialization:
@@ -448,6 +453,44 @@ class TestCli:
         config.write_text("masss=1\n")
         assert main(["point", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("line", ["allow_naked=true", "allow-naked=yes"])
+    def test_config_switches_an_on_off_flag_on(self, tmp_path, capsys, line):
+        config = tmp_path / "naked.cfg"
+        config.write_text(f"{line}\nspin=1.2\nomega=0\n")
+        assert main(["point", "--config", str(config)]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert (row["a"], row["status"]) == ("1.2", "ok")
+
+    def test_config_switches_an_on_off_flag_off(self, tmp_path, capsys):
+        config = tmp_path / "covered.cfg"
+        config.write_text("allow_naked=false\nspin=1.2\nomega=0\n")
+        assert main(["point", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "|a|=1.2 exceeds M=1.0" in captured.err
+
+    def test_config_skips_comment_and_blank_lines(self, tmp_path, capsys):
+        config = tmp_path / "commented.cfg"
+        config.write_text("# flat cavity\nmass=0\n\n   \nomega=0\n# hot\ntemperature=2.0\n")
+        assert main(["point", "--config", str(config)]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert (row["M"], row["T"], row["status"]) == ("0", "2", "ok")
+
+    def test_config_line_without_equals_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "broken.cfg"
+        config.write_text("mass=0\nspin 0.5\n")
+        assert main(["point", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "broken.cfg:2: expected key=value" in captured.err
+
+    def test_sweep_with_a_non_finite_end_exits_2(self, capsys):
+        assert main(["sweep", "--axis", "T", "--start", "0.1", "--stop", "inf",
+                     "--count", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite start < stop" in captured.err
+
     def test_validate_config_accepts_its_own_keys(self, tmp_path, monkeypatch, capsys):
         config = tmp_path / "validate.cfg"
         config.write_text("fd_step=2e-5\nquad-points=150\nn_max=50000\n")
@@ -465,6 +508,15 @@ class TestCli:
         assert main(["validate", "--config", str(config)]) == 2
         config.write_text("format=xml\n")
         assert main(["point", "--config", str(config)]) == 2
+
+    def test_validate_flags_are_the_oracle_config_fields(self, monkeypatch, capsys):
+        seen = []
+        stub = {"name": "stub", "measured": 0.0, "tolerance": 1.0, "passed": True, "detail": ""}
+        monkeypatch.setattr(cli, "validation_checks", lambda cfg: seen.append(cfg) or [stub])
+        assert main(["validate"]) == 0
+        assert main(["validate", "--m-max", "7", "--fd-step", "1e-4", "--rel-tol", "1e-3"]) == 0
+        assert seen == [OracleConfig(), OracleConfig(m_max=7, fd_step=1e-4, rel_tol=1e-3)]
+        assert type(seen[1].m_max) is int and type(seen[1].fd_step) is float
 
     @pytest.mark.parametrize("command", [
         ["point"],
