@@ -7,11 +7,15 @@ cannot be written (``--output`` in a missing directory, say) also exits 2,
 with a one-line reason on stderr.  A config file of plain
 ``key=value`` lines may set defaults for any flag of the subcommand it is
 given to, required ones included (keys are the long flag names, with
-``-`` or ``_`` interchangeable, typed and checked as the flags are);
-explicit flags always win, and any other key exits 2.  ``point`` and
+``-`` or ``_`` interchangeable, typed and checked as the flags are; an
+on/off flag reads 1/true/yes/on or 0/false/no/off in any case); explicit
+flags always win, and any other key or on/off value exits 2.  ``point`` and
 ``sweep`` take no series flags: the thermal series always runs to
 underflow, so ``--rel-tol`` and ``--m-max`` belong to ``validate`` alone.
 Both write their records with the serializer that ``--format`` names.
+``sweep --axis Omega`` does not resolve ``--omega``, which the axis
+replaces at every point; any other sweep exits 2 when ``zamo`` or
+``frac=`` cannot be resolved at ``--radius``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ from .sweep import (
 )
 
 _WRITERS = {"csv": records_to_csv, "jsonl": records_to_jsonl}
+# Config-file spellings of an on/off flag such as --allow-naked, lower case.
+_ON_OFF = {"1": True, "true": True, "yes": True, "on": True,
+           "0": False, "false": False, "no": False, "off": False}
 
 
 def _add_point_flags(parser: argparse.ArgumentParser) -> None:
@@ -126,7 +133,10 @@ def _load_config(path: str, sub: argparse.ArgumentParser) -> dict:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
             value = value.strip()
             if action.nargs == 0:  # on/off flag such as --allow-naked
-                typed = value.lower() in ("1", "true", "yes")
+                typed = _ON_OFF.get(value.lower())
+                if typed is None:
+                    raise DomainError(f"{path}:{lineno}: {key} must be one of "
+                                      f"{'/'.join(_ON_OFF)}, got {value!r}")
             else:
                 typed = (action.type or str)(value)
             if action.choices is not None and typed not in action.choices:
@@ -164,10 +174,15 @@ def _resolve_omega(spec: str, params: KerrParams, r: float) -> EquatorialOrbit:
     return EquatorialOrbit(r=r, Omega=float(text))
 
 
-def _build_request(args: argparse.Namespace) -> PointRequest:
+def _build_request(args: argparse.Namespace, omega: Optional[float] = None) -> PointRequest:
+    """The request the flags describe; ``omega``, when given, is the orbit's
+    Omega and --omega is not resolved."""
     params = KerrParams(M=args.mass, a=args.spin, black_hole_mode=not args.allow_naked)
     cavity = CavityGeometry(L=args.length, S0=args.area)
-    orbit = _resolve_omega(args.omega, params, args.radius)
+    if omega is None:
+        orbit = _resolve_omega(args.omega, params, args.radius)
+    else:
+        orbit = EquatorialOrbit(r=args.radius, Omega=omega)
     return PointRequest(params=params, orbit=orbit, cavity=cavity, T=args.temperature)
 
 
@@ -197,14 +212,16 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = SweepSpec(
-        axis=SweepAxis(args.axis),
-        start=args.start,
-        stop=args.stop,
-        count=args.count,
-        scale=args.scale,
-        base=_build_request(args),
-    )
+    axis = SweepAxis(args.axis)
+    try:
+        # An Omega axis replaces the orbit's Omega at every point, so its base
+        # orbit takes the first grid value and --omega is not resolved.
+        base = _build_request(args, args.start if axis is SweepAxis.OMEGA else None)
+    except InsideHorizonError as exc:
+        raise DomainError(f"--omega {args.omega} cannot be resolved at "
+                          f"--radius {args.radius}: {exc}") from exc
+    spec = SweepSpec(axis=axis, start=args.start, stop=args.stop, count=args.count,
+                     scale=args.scale, base=base)
     records = run_sweep(spec, parallelism=args.parallelism)
     _write(records, args)
     if not any(rec.status is PointStatus.OK for rec in records):

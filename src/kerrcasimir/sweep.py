@@ -16,9 +16,11 @@ string), so NaN/Inf never appear and int or numpy inputs become floats.
 A complete row (status ok, every float cell an exact finite ``float``,
 ``terms_used`` an ``int`` and ``small_cavity_ok`` a ``bool``, as
 ``evaluate_point`` builds it) is spelled by one %-format call over a row
-template built at import from the declared column types.  Every other row
-(a None cell, a non-finite, numpy or int-typed value, a failed status)
-takes the per-cell path; both paths write the same bytes.
+template built once per record list: a cell that holds the same value, bit
+for bit, in every complete row of the list is written into the template
+once, and each row formats only the cells that vary.  Every other row (a
+None cell, a non-finite, numpy or int-typed value, a failed status) takes
+the per-cell path; both paths write the same bytes.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Optional, get_type_hints
 
@@ -281,35 +284,8 @@ _COLUMN_TYPES = {
 }
 _EXACT, _PLAIN, _SPELL = zip(*(_COLUMN_TYPES[t] for t in get_type_hints(OutputRecord).values()))
 _JSON = json.JSONEncoder(separators=(",", ":"))
-
-# A complete row (see _complete) is spelled by one %-format call over its
-# float and int cells.  "%.17g" % x is "{:.17g}".format(x), %r of a float is
-# the float.__repr__ that json writes, and %d of an int is str(), so the
-# template writes the bytes of the per-cell path.
-_CONVERSIONS = {float: ("%.17g", "%r"), int: ("%d", "%d")}
+_JSON_KEYS = [_JSON.encode(name) + ":" for name in CSV_COLUMNS]
 _FLOATS = itemgetter(*(i for i, exact in enumerate(_EXACT) if exact is float))
-_NUMBERS = itemgetter(*(i for i, exact in enumerate(_EXACT) if exact in _CONVERSIONS))
-
-
-def _row_templates(flag: bool) -> tuple[str, str]:
-    """CSV and JSONL templates of a complete row whose small_cavity_ok is
-    ``flag``: a conversion per number cell, and fixed text for the flag and
-    the ok status."""
-    fixed = {bool: flag, PointStatus: PointStatus.OK}
-    csv_cells, json_cells = [], []
-    for name, exact, plain, spell in zip(CSV_COLUMNS, _EXACT, _PLAIN, _SPELL):
-        if exact in _CONVERSIONS:
-            csv_cell, json_cell = _CONVERSIONS[exact]
-        else:
-            value = plain(fixed[exact])
-            csv_cell, json_cell = spell(value), _JSON.encode(value)
-        csv_cells.append(csv_cell)
-        json_cells.append(_JSON.encode(name) + ":" + json_cell)
-    return ",".join(csv_cells), "{" + ",".join(json_cells) + "}"
-
-
-# Indexed by small_cavity_ok.
-_CSV_ROW, _JSONL_ROW = zip(_row_templates(False), _row_templates(True))
 
 
 def _complete(rec: OutputRecord) -> bool:
@@ -319,25 +295,79 @@ def _complete(rec: OutputRecord) -> bool:
             and math.isfinite(sum(_FLOATS(rec))))
 
 
+def _all_complete(columns: list) -> bool:
+    """_complete of every row, checked column by column.  A float sum that
+    overflows reads as incomplete and only sends rows to the per-row check."""
+    n = len(columns[-1])
+    return (columns[-1].count(PointStatus.OK) == n
+            and all(list(map(type, column)).count(exact) == n
+                    for exact, column in zip(_EXACT, columns))
+            and math.isfinite(sum(map(sum, _FLOATS(columns)))))
+
+
+def _same_bits(column: tuple) -> bool:
+    """Every value of the column is its first, bit for bit (0.0 == -0.0, so
+    a zero also compares spellings)."""
+    first = column[0]
+    return (column[-1] == first and column.count(first) == len(column)
+            and (first != 0 or len(set(map(repr, column))) == 1))
+
+
+def _template_rows(columns: list, conversions: dict, cell, join) -> list:
+    """Complete rows, given as columns, from one template: a number cell is
+    its type's entry of ``conversions``, the flag and the status "%s" of their
+    ``cell`` spelling.  A cell with the same value in every row is spelled
+    into the template once; each row is one %-format call over the rest."""
+    if not columns:
+        return []
+    texts, varying = [], []
+    for i, column in enumerate(columns):
+        conversion = conversions.get(_EXACT[i])
+        if conversion is None:
+            spelled = {value: cell(i, value) for value in set(column)}
+            column, conversion = list(map(spelled.__getitem__, column)), "%s"
+        if _same_bits(column):
+            texts.append((conversion % column[0]).replace("%", "%%"))
+        else:
+            texts.append(conversion)
+            varying.append(column)
+    template = join(texts)
+    return [template % cells for cells in (zip(*varying) if varying else [()] * len(columns[0]))]
+
+
+def _rows(records: Iterable[OutputRecord], conversions: dict, cell, join, per_cell) -> list:
+    """Every record's row: the complete ones from one template per list,
+    every other one by the per-cell path."""
+    records = list(records)
+    columns = list(zip(*records))
+    if records and _all_complete(columns):
+        return _template_rows(columns, conversions, cell, join)
+    complete = list(map(_complete, records))
+    spelled = iter(_template_rows(list(zip(*compress(records, complete))), conversions, cell, join))
+    return [next(spelled) if ok else per_cell(rec) for rec, ok in zip(records, complete)]
+
+
 def _plain(rec: OutputRecord) -> list:
     """The record's cells as None, float, int, bool or str, by column type."""
     return [None if value is None else plain(value) for plain, value in zip(_PLAIN, rec)]
 
 
+# "%.17g" % x is "{:.17g}".format(x), %r of a float is the float.__repr__
+# that json writes, and %d of an int is str(), so a template row has the
+# bytes of the per-cell path.
 def records_to_csv(records: Iterable[OutputRecord]) -> str:
     """Fixed-column CSV with header; byte-stable for identical inputs."""
-    lines = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        if _complete(rec):
-            lines.append(_CSV_ROW[rec.small_cavity_ok] % _NUMBERS(rec))
-        else:
-            lines.append(",".join(["" if v is None else spell(v)
-                                   for spell, v in zip(_SPELL, _plain(rec))]))
-    return "\n".join(lines) + "\n"
+    rows = _rows(records, {float: "%.17g", int: "%d"},
+                 lambda i, value: _SPELL[i](_PLAIN[i](value)), ",".join,
+                 lambda rec: ",".join(["" if v is None else spell(v)
+                                       for spell, v in zip(_SPELL, _plain(rec))]))
+    return "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"
 
 
 def records_to_jsonl(records: Iterable[OutputRecord]) -> str:
     """One JSON object per line, holding the same plain values as the CSV."""
-    lines = [_JSONL_ROW[rec.small_cavity_ok] % _NUMBERS(rec) if _complete(rec)
-             else _JSON.encode(dict(zip(CSV_COLUMNS, _plain(rec)))) for rec in records]
-    return "".join(line + "\n" for line in lines)
+    rows = _rows(records, {float: "%r", int: "%d"},
+                 lambda i, value: _JSON.encode(_PLAIN[i](value)),
+                 lambda texts: "{" + ",".join(map(str.__add__, _JSON_KEYS, texts)) + "}",
+                 lambda rec: _JSON.encode(dict(zip(CSV_COLUMNS, _plain(rec)))))
+    return "".join(row + "\n" for row in rows)

@@ -59,6 +59,22 @@ def test_lower_is_better_flips_the_direction():
     assert summarize(PARENT, faster, "lower")["wins"]["change"] == 10
 
 
+@pytest.mark.parametrize("change, better, bound, worse", [
+    ([111.0] * 10, "lower", 0.1, True),      # RSS +11% at a 10% bound
+    ([109.0] * 10, "lower", 0.1, False),     # RSS +9%
+    ([74.0] * 10, "higher", 0.25, True),     # points_per_s -26% at a 25% bound
+    ([76.0] * 10, "higher", 0.25, False),    # points_per_s -24%
+    ([130.0] * 10, "higher", 0.25, False),   # better by any amount
+])
+def test_worse_than_bound_compares_medians_relative_to_the_parent(change, better, bound, worse):
+    parent = [100.0] * 10
+    assert summarize(parent, change, better, bound)["worse_than_bound"] is worse
+
+
+def test_a_metric_without_a_bound_is_never_judged():
+    assert summarize(PARENT, [p * 2.0 for p in PARENT], "lower")["worse_than_bound"] is None
+
+
 @pytest.mark.parametrize("parent, change, better", [
     ([1.0, 2.0], [1.0], "higher"),
     ([], [], "higher"),

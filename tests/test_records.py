@@ -382,6 +382,79 @@ class TestRowTemplates:
         assert calls == [records[5]] * 2
 
 
+@st.composite
+def record_lists(draw):
+    """2-12 complete rows: one complete_records() draw with a random set of
+    number columns, and small_cavity_ok, drawn anew in each row."""
+    base = draw(complete_records())
+    records = []
+    for _ in range(draw(st.integers(2, 12))):
+        varied = draw(st.sets(st.sampled_from(FLOAT_COLUMNS + [COUNT_COLUMN])))
+        records.append(base._replace(
+            small_cavity_ok=draw(st.booleans()),
+            **{column: draw(st.integers(0, 10**6) if column == COUNT_COLUMN else finite_floats)
+               for column in sorted(varied)}))
+    return records
+
+
+def assert_lists_match_reference(records):
+    """A list and a generator of the records both give the reference bytes."""
+    for write, reference in ((records_to_csv, reference_csv), (records_to_jsonl, reference_jsonl)):
+        assert write(records) == reference(records)
+        assert write(rec for rec in records) == reference(records)
+
+
+# Three complete rows, every column of them varying.
+EDGE_LIST = [OutputRecord(**dict(zip(FLOAT_COLUMNS, (EDGE_FLOATS[i:] + EDGE_FLOATS[:i]) * 5)),
+                          terms_used=i, small_cavity_ok=bool(i % 2), status=PointStatus.OK)
+             for i in range(3)]
+
+
+class TestRecordLists:
+    """Lists of several rows: a cell that holds one value along the list is
+    spelled into its template once, and every byte stays the reference's."""
+
+    @given(records=record_lists())
+    @example(records=EDGE_LIST)
+    @settings(max_examples=60)
+    def test_complete_lists(self, records):
+        assert_lists_match_reference(records)
+
+    @given(records=record_lists(), column=float_columns,
+           negative=st.lists(st.booleans(), min_size=12, max_size=12))
+    @example(records=EDGE_LIST, column="F_ren", negative=[False, True, False] * 4)
+    @settings(max_examples=30)
+    def test_a_column_of_signed_zeros(self, records, column, negative):
+        """0.0 == -0.0, yet they spell 0 and -0."""
+        assert_lists_match_reference([rec._replace(**{column: -0.0 if neg else 0.0})
+                                      for rec, neg in zip(records, negative)])
+
+    @given(records=record_lists(), column=float_columns)
+    @settings(max_examples=25)
+    def test_the_largest_float_in_every_row(self, records, column):
+        assert_lists_match_reference([rec._replace(**{column: 1.7976931348623157e308})
+                                      for rec in records])
+
+    @given(records=record_lists(), column=float_columns, row=st.integers(0, 11))
+    @example(records=EDGE_LIST, column="F_ren", row=0)
+    @settings(max_examples=30)
+    def test_an_int_one_among_float_ones(self, records, column, row):
+        """1 == 1.0, yet a JSONL float one reads 1.0."""
+        records = [rec._replace(**{column: 1.0}) for rec in records]
+        row %= len(records)
+        records[row] = records[row]._replace(**{column: 1})
+        assert_lists_match_reference(records)
+
+    @given(data=st.data())
+    @settings(max_examples=30)
+    def test_lists_with_holes(self, data):
+        records = data.draw(record_lists())
+        for row in data.draw(st.sets(st.integers(0, len(records) - 1), min_size=1)):
+            column, value = data.draw(st.one_of(*HOLES.values()))
+            records[row] = records[row]._replace(**{column: value})
+        assert_lists_match_reference(records)
+
+
 class TestNumpyScalarInputs:
     def test_records_serialize_as_plain_values(self):
         req = kerr_request()

@@ -428,6 +428,26 @@ class TestCli:
         # One ok point is enough for success.
         assert main(args[:-4] + ["--stop", "2.5", "--count", "3"]) == 0
 
+    def test_omega_sweep_does_not_resolve_the_base_omega(self, capsys):
+        """The axis replaces Omega at every point, so a base radius inside the
+        horizon still gives one inside_horizon record per grid value."""
+        args = ["sweep", "--spin", "0.5", "--radius", "1.5", "--axis", "Omega",
+                "--start", "-0.1", "--stop", "0.1", "--count", "3"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [row["status"] for row in rows] == ["inside_horizon"] * 3
+        assert [float(row["Omega"]) for row in rows] == [-0.1, 0.0, 0.1]
+        assert captured.err == "kerrcasimir: none of the 3 sweep points is ok\n"
+
+    @pytest.mark.parametrize("omega", ["zamo", "frac=0.5"])
+    def test_other_sweeps_need_the_base_omega(self, capsys, omega):
+        assert main(["sweep", "--spin", "0.5", "--radius", "1.5", "--omega", omega,
+                     "--axis", "r", "--start", "1.5", "--stop", "10", "--count", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--omega {omega} cannot be resolved at --radius 1.5" in captured.err
+
     def test_sweep_config_supplies_required_flags(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text("mass=0\nomega=0\naxis=T\nstart=0.1\nstop=1\ncount=3\n")
@@ -468,6 +488,26 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "|a|=1.2 exceeds M=1.0" in captured.err
+
+    @pytest.mark.parametrize("value, code", [("on", 0), ("ON", 0), ("off", 2), ("No", 2)])
+    def test_config_reads_on_and_off(self, tmp_path, capsys, value, code):
+        config = tmp_path / "naked.cfg"
+        config.write_text(f"allow_naked={value}\nspin=1.2\nomega=0\n")
+        assert main(["point", "--config", str(config)]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert next(csv.DictReader(io.StringIO(captured.out)))["status"] == "ok"
+        else:
+            assert captured.out == "" and "|a|=1.2 exceeds M=1.0" in captured.err
+
+    def test_config_rejects_an_unknown_on_off_value(self, tmp_path, capsys):
+        config = tmp_path / "typo.cfg"
+        config.write_text("spin=1.2\nallow_naked=ture\nomega=0\n")
+        assert main(["point", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{config}:2: allow_naked must be one of" in captured.err
+        assert "'ture'" in captured.err
 
     def test_config_skips_comment_and_blank_lines(self, tmp_path, capsys):
         config = tmp_path / "commented.cfg"

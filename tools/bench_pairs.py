@@ -14,9 +14,14 @@ the metrics and the ``== ... machine:`` line the machine.
 The summary of every metric holds each side's values, median and quartiles,
 the wins of each side (ties count for neither) and ``gain``: the change wins
 at least nine tenths of the pairs and its median is better than the
-parent's by more than the parent's quartile distance.  The results land in
-``--out`` under ``workloads[W][str(S)]``; other entries already in that file
-are kept, so several workloads and seeds can share one file.
+parent's by more than the parent's quartile distance.  An end-to-end
+metric also gets ``worse_than_bound``: its change median is worse than the
+parent's by more than the metric's ``bound`` in BENCHMARK.json (a fraction
+of the parent's median); a per-layer metric, which has no bound, gets null.
+The results land in ``--out`` under ``workloads[W]["seed=S"]`` (with
+`` trace=1`` appended for a traced run); other entries already in that file
+are kept, so several workloads and seeds can share one file, but a run
+under the same key replaces the earlier one.
 """
 
 from __future__ import annotations
@@ -42,12 +47,15 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
+def summarize(parent: list[float], change: list[float], better: str,
+              bound: float | None = None) -> dict:
     """Compare the paired values of one metric; ``better`` is 'higher' or 'lower'.
 
     Pair i is (parent[i], change[i]).  ``gain`` is the claim rule: the change
     wins >= 9/10 of all pairs (ties count for neither side) and its median
     beats the parent's by more than the parent's quartile distance.
+    ``worse_than_bound`` is None without a ``bound``, else whether the change
+    median is worse than the parent's by more than bound * |parent median|.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same number (>= 1) of parent and change values")
@@ -66,6 +74,7 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
                  "ties": sum(m == 0 for m in margins)},
         "median_ratio": c_med / p_med if p_med else None,
         "gain": 10 * change_wins >= 9 * len(margins) and gap > p_q3 - p_q1,
+        "worse_than_bound": None if bound is None else -gap > bound * abs(p_med),
     }
 
 
@@ -104,6 +113,7 @@ def main(argv: list[str] | None = None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parent_sha = subprocess.run(["git", "rev-parse", args.parent_rev], cwd=ROOT, check=True,
                                 capture_output=True, text=True).stdout.strip()
     runs = {"parent": [], "change": []}
@@ -129,7 +139,8 @@ def main(argv: list[str] | None = None) -> int:
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         metrics[name] = {"unit": runs["parent"][0]["metrics"][name]["unit"],
                          "better": better[name],
-                         **summarize(values["parent"], values["change"], better[name])}
+                         **summarize(values["parent"], values["change"], better[name],
+                                     bounds.get(name))}
     entry = {
         "pairs": args.pairs,
         "trace": args.trace,
@@ -147,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for name, m in metrics.items():
         print(f"{name:<16} parent {m['parent']['median']:.6g} change {m['change']['median']:.6g} "
-              f"wins {m['wins']} gain={m['gain']}")
+              f"wins {m['wins']} gain={m['gain']} worse_than_bound={m['worse_than_bound']}")
     return 0
 
 
