@@ -138,7 +138,12 @@ def _load_config(path: str, sub: argparse.ArgumentParser) -> dict:
                     raise DomainError(f"{path}:{lineno}: {key} must be one of "
                                       f"{'/'.join(_ON_OFF)}, got {value!r}")
             else:
-                typed = (action.type or str)(value)
+                convert = action.type or str
+                try:
+                    typed = convert(value)
+                except ValueError:
+                    raise DomainError(f"{path}:{lineno}: {key} must be {convert.__name__}, "
+                                      f"got {value!r}") from None
             if action.choices is not None and typed not in action.choices:
                 raise DomainError(f"{path}:{lineno}: {key} must be one of {list(action.choices)}")
             defaults[key] = typed

@@ -13,24 +13,22 @@ truncation_error today; the status is kept for a computed truncation bound.
 Both serializers write each column's declared type as a plain value (a
 float, None for a missing or non-finite number, int, bool or the status
 string), so NaN/Inf never appear and int or numpy inputs become floats.
-A complete row (status ok, every float cell an exact finite ``float``,
-``terms_used`` an ``int`` and ``small_cavity_ok`` a ``bool``, as
-``evaluate_point`` builds it) is spelled by one %-format call over a row
-template built once per record list: a cell that holds the same value, bit
-for bit, in every complete row of the list is written into the template
-once, and each row formats only the cells that vary.  Every other row (a
-None cell, a non-finite, numpy or int-typed value, a failed status) takes
-the per-cell path; both paths write the same bytes.
+Each writer builds one row template per record list, column by column: a
+number column of exact finite ``float`` (or ``int``) cells, as
+``evaluate_point`` builds them, enters as its %-conversion; any other
+number column is spelled cell by cell, and the flag and status once per
+value.  A column that holds the same value, bit for bit, in every row is
+written into the template once, and each row is one %-format call.  A list
+with failed points spells its result columns cell by cell (see README).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
-from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Optional, get_type_hints
 
 from .errors import DomainError, ForbiddenOrbitError, InsideHorizonError, TruncationError
@@ -104,6 +102,15 @@ class SweepSpec:
     scale: str = "linear"
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "axis", SweepAxis(self.axis))
+        except ValueError:
+            raise DomainError(f"sweep axis must be one of {[a.value for a in SweepAxis]}, "
+                              f"got {self.axis!r}") from None
+        try:
+            object.__setattr__(self, "count", operator.index(self.count))
+        except TypeError:
+            raise DomainError(f"sweep count must be an integer, got {self.count!r}") from None
         if self.count < 2:
             raise DomainError(f"sweep count must be >= 2, got {self.count}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop) and self.start < self.stop):
@@ -271,7 +278,7 @@ def _finite(value) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-# Per declared column type: the exact type the cell has in a complete row,
+# Per declared column type: the exact type evaluate_point gives the cell,
 # the plain value of a present cell, and its CSV spelling.  A missing cell
 # (None) is None in every column, so a non-finite number joins it and
 # neither format ever carries NaN/Inf.
@@ -280,29 +287,11 @@ _COLUMN_TYPES = {
     Optional[float]: (float, _finite, "{:.17g}".format),
     Optional[int]: (int, int, str),
     Optional[bool]: (bool, bool, ("false", "true").__getitem__),
-    PointStatus: (PointStatus, attrgetter("value"), str),
+    PointStatus: (PointStatus, operator.attrgetter("value"), str),
 }
 _EXACT, _PLAIN, _SPELL = zip(*(_COLUMN_TYPES[t] for t in get_type_hints(OutputRecord).values()))
 _JSON = json.JSONEncoder(separators=(",", ":"))
 _JSON_KEYS = [_JSON.encode(name) + ":" for name in CSV_COLUMNS]
-_FLOATS = itemgetter(*(i for i, exact in enumerate(_EXACT) if exact is float))
-
-
-def _complete(rec: OutputRecord) -> bool:
-    """An ok record whose cells have their exact column types (no None, no
-    numpy scalar, no int in a float column) and whose floats are finite."""
-    return (rec[-1] is PointStatus.OK and tuple(map(type, rec)) == _EXACT
-            and math.isfinite(sum(_FLOATS(rec))))
-
-
-def _all_complete(columns: list) -> bool:
-    """_complete of every row, checked column by column.  A float sum that
-    overflows reads as incomplete and only sends rows to the per-row check."""
-    n = len(columns[-1])
-    return (columns[-1].count(PointStatus.OK) == n
-            and all(list(map(type, column)).count(exact) == n
-                    for exact, column in zip(_EXACT, columns))
-            and math.isfinite(sum(map(sum, _FLOATS(columns)))))
 
 
 def _same_bits(column: tuple) -> bool:
@@ -313,19 +302,33 @@ def _same_bits(column: tuple) -> bool:
             and (first != 0 or len(set(map(repr, column))) == 1))
 
 
-def _template_rows(columns: list, conversions: dict, cell, join) -> list:
-    """Complete rows, given as columns, from one template: a number cell is
-    its type's entry of ``conversions``, the flag and the status "%s" of their
-    ``cell`` spelling.  A cell with the same value in every row is spelled
-    into the template once; each row is one %-format call over the rest."""
+def _plain_cell(i: int, value):
+    """The cell of column i as None, float, int, bool or str, by column type."""
+    return None if value is None else _PLAIN[i](value)
+
+
+def _rows(records: Iterable[OutputRecord], conversions: dict, cell, join) -> list:
+    """Every record's row from one template per list.  A number column of
+    exact, finite cells enters as its ``conversions`` entry; any other is
+    spelled cell by cell (exact finite cells by the conversion, the rest by
+    ``cell``) and enters as "%s", as do the flag and the status, spelled by
+    ``cell`` once per value.  An overflowing float sum only sends its column
+    cell by cell.  A column of one value is written into the template."""
+    columns = list(zip(*records))
     if not columns:
         return []
     texts, varying = [], []
-    for i, column in enumerate(columns):
-        conversion = conversions.get(_EXACT[i])
+    for i, (exact, column) in enumerate(zip(_EXACT, columns)):
+        conversion = conversions.get(exact)
         if conversion is None:
             spelled = {value: cell(i, value) for value in set(column)}
             column, conversion = list(map(spelled.__getitem__, column)), "%s"
+        elif not (list(map(type, column)).count(exact) == len(column)
+                  and (exact is not float or math.isfinite(sum(column)))):
+            column = [conversion % value
+                      if type(value) is exact and (exact is not float or math.isfinite(value))
+                      else cell(i, value) for value in column]
+            conversion = "%s"
         if _same_bits(column):
             texts.append((conversion % column[0]).replace("%", "%%"))
         else:
@@ -335,39 +338,20 @@ def _template_rows(columns: list, conversions: dict, cell, join) -> list:
     return [template % cells for cells in (zip(*varying) if varying else [()] * len(columns[0]))]
 
 
-def _rows(records: Iterable[OutputRecord], conversions: dict, cell, join, per_cell) -> list:
-    """Every record's row: the complete ones from one template per list,
-    every other one by the per-cell path."""
-    records = list(records)
-    columns = list(zip(*records))
-    if records and _all_complete(columns):
-        return _template_rows(columns, conversions, cell, join)
-    complete = list(map(_complete, records))
-    spelled = iter(_template_rows(list(zip(*compress(records, complete))), conversions, cell, join))
-    return [next(spelled) if ok else per_cell(rec) for rec, ok in zip(records, complete)]
-
-
-def _plain(rec: OutputRecord) -> list:
-    """The record's cells as None, float, int, bool or str, by column type."""
-    return [None if value is None else plain(value) for plain, value in zip(_PLAIN, rec)]
-
-
 # "%.17g" % x is "{:.17g}".format(x), %r of a float is the float.__repr__
-# that json writes, and %d of an int is str(), so a template row has the
-# bytes of the per-cell path.
+# that json writes, and %d of an int is str(), so a %-conversion writes the
+# bytes of the cell's plain value spelled on its own.
 def records_to_csv(records: Iterable[OutputRecord]) -> str:
     """Fixed-column CSV with header; byte-stable for identical inputs."""
     rows = _rows(records, {float: "%.17g", int: "%d"},
-                 lambda i, value: _SPELL[i](_PLAIN[i](value)), ",".join,
-                 lambda rec: ",".join(["" if v is None else spell(v)
-                                       for spell, v in zip(_SPELL, _plain(rec))]))
+                 lambda i, value: "" if (plain := _plain_cell(i, value)) is None
+                 else _SPELL[i](plain), ",".join)
     return "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"
 
 
 def records_to_jsonl(records: Iterable[OutputRecord]) -> str:
     """One JSON object per line, holding the same plain values as the CSV."""
     rows = _rows(records, {float: "%r", int: "%d"},
-                 lambda i, value: _JSON.encode(_PLAIN[i](value)),
-                 lambda texts: "{" + ",".join(map(str.__add__, _JSON_KEYS, texts)) + "}",
-                 lambda rec: _JSON.encode(dict(zip(CSV_COLUMNS, _plain(rec)))))
+                 lambda i, value: _JSON.encode(_plain_cell(i, value)),
+                 lambda texts: "{" + ",".join(map(str.__add__, _JSON_KEYS, texts)) + "}")
     return "".join(row + "\n" for row in rows)

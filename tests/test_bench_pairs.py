@@ -1,4 +1,4 @@
-"""The pure summary of tools/bench_pairs.py: quartiles, wins and the gain rule."""
+"""The pure parts of tools/bench_pairs.py: the gain rule, failure shares and run keys."""
 
 import importlib.util
 from pathlib import Path
@@ -83,3 +83,48 @@ def test_a_metric_without_a_bound_is_never_judged():
 def test_rejects_unpaired_or_empty_values_and_unknown_directions(parent, change, better):
     with pytest.raises(ValueError):
         summarize(parent, change, better)
+
+
+def test_failed_share_sums_failures_over_attempts_per_side():
+    s = bench_pairs.failures({"parent": [100, 300], "change": [200, 200]},
+                             {"parent": [1, 3], "change": [2, 2]})
+    assert s == {"failed_share": {"parent": 0.01, "change": 0.01}, "more_failures": False}
+
+
+def test_a_fixed_failure_count_reads_as_more_failures_on_the_slower_side():
+    """Three failed points per run: the side that attempts fewer fails a larger share."""
+    s = bench_pairs.failures({"parent": [20000] * 3, "change": [19000] * 3},
+                             {"parent": [3] * 3, "change": [3] * 3})
+    assert s["failed_share"]["change"] > s["failed_share"]["parent"]
+    assert s["more_failures"] is True
+    s = bench_pairs.failures({"parent": [20000] * 3, "change": [21000] * 3},
+                             {"parent": [3] * 3, "change": [3] * 3})
+    assert s["more_failures"] is False
+
+
+def test_no_attempts_leave_the_failed_share_undefined():
+    s = bench_pairs.failures({"parent": [0], "change": [5]}, {"parent": [0], "change": [0]})
+    assert s == {"failed_share": {"parent": None, "change": 0.0}, "more_failures": None}
+
+
+def test_a_run_key_already_in_the_out_file_is_taken():
+    doc = {"workloads": {"sweep_hot": {"seed=1": {}, "seed=1 trace=1": {}}}}
+    assert bench_pairs.run_key(1, 0) == "seed=1"
+    assert bench_pairs.run_key(1, 1) == "seed=1 trace=1"
+    assert bench_pairs.taken(doc, "sweep_hot", bench_pairs.run_key(1, 0))
+    assert bench_pairs.taken(doc, "sweep_hot", bench_pairs.run_key(1, 1))
+    assert not bench_pairs.taken(doc, "sweep_hot", bench_pairs.run_key(2, 0))
+    assert not bench_pairs.taken(doc, "sweep_cold", bench_pairs.run_key(1, 0))
+    assert not bench_pairs.taken({}, "sweep_hot", bench_pairs.run_key(1, 0))
+
+
+def test_main_refuses_a_taken_key_before_any_run(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "bench.json"
+    out.write_text('{"workloads": {"cli_point": {"seed=3": {"pairs": 1}}}}\n')
+    monkeypatch.setattr(bench_pairs, "run_side", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["HEAD", "--workload", "cli_point", "--pairs", "1", "--seed", "3",
+                          "--out", str(out)])
+    assert exc.value.code == 2
+    assert "already holds workloads['cli_point']['seed=3']" in capsys.readouterr().err
+    assert out.read_text() == '{"workloads": {"cli_point": {"seed=3": {"pairs": 1}}}}\n'

@@ -328,7 +328,7 @@ def complete_records(draw):
                         small_cavity_ok=draw(st.booleans()), status=PointStatus.OK)
 
 
-# One cell that sends a row down the per-cell path, by kind: (column, value).
+# One cell that sends its column down the cell-by-cell spelling, by kind: (column, value).
 float_columns = st.sampled_from(FLOAT_COLUMNS)
 HOLES = {
     "None": st.tuples(st.sampled_from(CSV_COLUMNS[:-1]), st.none()),
@@ -340,12 +340,16 @@ HOLES = {
     "int": st.tuples(float_columns, st.integers(-(2**64), 2**64)),
     "int beyond the float range": st.tuples(float_columns, st.sampled_from([10**400, -(10**400)])),
     "failed status": st.tuples(st.just("status"), st.sampled_from(list(PointStatus)[1:])),
+    "terms_used beyond the float range": st.tuples(st.just("terms_used"), st.just(10**400)),
+    "terms_used bool": st.tuples(st.just("terms_used"), st.booleans()),
+    "terms_used np.int64": st.tuples(st.just("terms_used"),
+                                     st.integers(0, 10**6).map(np.int64)),
 }
 
 
 class TestRowTemplates:
-    """Complete rows are spelled from a prebuilt template, every other row
-    cell by cell; both give the bytes of the reference."""
+    """Exact, finite number cells are spelled by the template, every other
+    one on its own; both give the bytes of the reference."""
 
     @given(rec=complete_records())
     @example(rec=OutputRecord(**dict(zip(FLOAT_COLUMNS, EDGE_FLOATS * 5)), terms_used=1,
@@ -365,21 +369,27 @@ class TestRowTemplates:
         assert records_to_jsonl([rec]) == reference_jsonl([rec])
 
     def test_complete_rows_skip_the_per_cell_path(self, monkeypatch):
-        """The template path is taken, not merely equal in its bytes."""
+        """No number cell of a complete list is spelled on its own, and one
+        hole spells only that cell on its own: the path, not only the bytes."""
         calls = []
-        per_cell = sweep._plain
-        monkeypatch.setattr(sweep, "_plain", lambda rec: calls.append(rec) or per_cell(rec))
+        per_cell = sweep._plain_cell
+        monkeypatch.setattr(sweep, "_plain_cell", lambda i, value: calls.append(
+            (CSV_COLUMNS[i], value)) or per_cell(i, value))
+
+        def number_cells():
+            return [call for call in calls if call[0] not in (FLAG_COLUMN, "status")]
+
         spec = SweepSpec(axis=SweepAxis.R, start=3.0, stop=30.0, count=16, base=kerr_request())
         records = run_sweep(spec)
         assert all(rec.status is PointStatus.OK for rec in records)
         records_to_csv(records)
         records_to_jsonl(records)
-        assert calls == []
+        assert number_cells() == []
         records[5] = records[5]._replace(F_ren=None)
         records_to_csv(records)
-        assert calls == [records[5]]
+        assert number_cells() == [("F_ren", None)]
         records_to_jsonl(records)
-        assert calls == [records[5]] * 2
+        assert number_cells() == [("F_ren", None)] * 2
 
 
 @st.composite

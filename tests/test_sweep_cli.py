@@ -248,10 +248,21 @@ class TestRunSweep:
                       base=flat_request())
         with pytest.raises(DomainError):
             SweepSpec(axis=SweepAxis.T, start=0.0, stop=1.0, count=1, base=flat_request())
+        with pytest.raises(DomainError, match="sweep axis must be one of"):
+            SweepSpec(axis="x", start=0.0, stop=1.0, count=3, base=flat_request())
+        with pytest.raises(DomainError, match="sweep count must be an integer"):
+            SweepSpec(axis=SweepAxis.T, start=0.0, stop=1.0, count=3.0, base=flat_request())
         for start, stop in ((0.1, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.1, math.nan),
                             (-math.inf, math.inf)):
             with pytest.raises(DomainError, match="finite start < stop"):
                 SweepSpec(axis=SweepAxis.T, start=start, stop=stop, count=4, base=flat_request())
+
+    def test_axis_given_by_name_sweeps_that_axis(self):
+        base = kerr_request()
+        by_name = run_sweep(SweepSpec(axis="T", start=0.5, stop=0.9, count=3, base=base))
+        assert by_name == run_sweep(SweepSpec(axis=SweepAxis.T, start=0.5, stop=0.9, count=3,
+                                              base=base))
+        assert [(rec.a, rec.T) for rec in by_name] == [(0.5, 0.5), (0.5, 0.7), (0.5, 0.9)]
 
 
 class TestSerialization:
@@ -508,6 +519,20 @@ class TestCli:
         assert captured.out == ""
         assert f"{config}:2: allow_naked must be one of" in captured.err
         assert "'ture'" in captured.err
+
+    @pytest.mark.parametrize("command, line, message", [
+        (["point"], "temperature=hot", "temperature must be float, got 'hot'"),
+        (["sweep", "--axis", "T", "--start", "0.5", "--stop", "1.5"], "count=1e3",
+         "count must be int, got '1e3'"),
+    ], ids=["float key", "int key"])
+    def test_config_value_of_the_wrong_type_names_its_line(self, tmp_path, capsys,
+                                                             command, line, message):
+        config = tmp_path / "typed.cfg"
+        config.write_text(f"mass=1\n{line}\n")
+        assert main(command + ["--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{config}:2: {message}" in captured.err
 
     def test_config_skips_comment_and_blank_lines(self, tmp_path, capsys):
         config = tmp_path / "commented.cfg"

@@ -18,10 +18,13 @@ parent's by more than the parent's quartile distance.  An end-to-end
 metric also gets ``worse_than_bound``: its change median is worse than the
 parent's by more than the metric's ``bound`` in BENCHMARK.json (a fraction
 of the parent's median); a per-layer metric, which has no bound, gets null.
-The results land in ``--out`` under ``workloads[W]["seed=S"]`` (with
-`` trace=1`` appended for a traced run); other entries already in that file
-are kept, so several workloads and seeds can share one file, but a run
-under the same key replaces the earlier one.
+Each entry also holds ``failed_share``, per side the failed points over
+the attempted ones summed over its runs, and ``more_failures``: the
+change's share is the larger.  The results land in ``--out`` under
+``workloads[W]["seed=S"]`` (with `` trace=1`` appended for a traced run);
+other entries already in that file are kept, so several workloads and
+seeds can share one file.  A run whose key the file already holds exits 2
+before its first pair.
 """
 
 from __future__ import annotations
@@ -78,6 +81,26 @@ def summarize(parent: list[float], change: list[float], better: str,
     }
 
 
+def failures(attempted: dict, failed: dict) -> dict:
+    """``failed_share`` of each side (its failed points over its attempted
+    ones, summed over its runs; None if it attempted none) and
+    ``more_failures``: the change's share is larger than the parent's."""
+    share = {side: sum(failed[side]) / sum(attempted[side]) if sum(attempted[side]) else None
+             for side in ("parent", "change")}
+    more = None if None in share.values() else share["change"] > share["parent"]
+    return {"failed_share": share, "more_failures": more}
+
+
+def run_key(seed: int, trace: int) -> str:
+    """The key of a run's entry under its workload in the --out file."""
+    return f"seed={seed}" + (" trace=1" if trace else "")
+
+
+def taken(doc: dict, workload: str, key: str) -> bool:
+    """Whether the --out document already holds an entry for this run."""
+    return key in doc.get("workloads", {}).get(workload, {})
+
+
 def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One bench/run.py run in ``tree``: its result line plus the machine line."""
     proc = subprocess.run(
@@ -111,6 +134,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
+    key = run_key(args.seed, args.trace)
+    if args.out.exists() and taken(json.loads(args.out.read_text()), args.workload, key):
+        parser.error(f"{args.out} already holds workloads[{args.workload!r}][{key!r}]")
+
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
@@ -141,24 +168,26 @@ def main(argv: list[str] | None = None) -> int:
                          "better": better[name],
                          **summarize(values["parent"], values["change"], better[name],
                                      bounds.get(name))}
+    per_run = {name: {side: [r[name] for r in runs[side]] for side in runs}
+               for name in ("attempted", "failed", "correct", "machine")}
     entry = {
         "pairs": args.pairs,
         "trace": args.trace,
         "seconds": spec["run_seconds"],
         "first": ["parent" if i % 2 == 0 else "change" for i in range(args.pairs)],
-        **{key: {side: [r[key] for r in runs[side]] for side in runs}
-           for key in ("attempted", "failed", "correct", "machine")},
+        **per_run,
+        **failures(per_run["attempted"], per_run["failed"]),
         "metrics": metrics,
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["parent"] = parent_sha
     doc["change"] = "working tree of the checkout holding tools/bench_pairs.py"
-    doc.setdefault("workloads", {}).setdefault(args.workload, {})[
-        f"seed={args.seed}" + (" trace=1" if args.trace else "")] = entry
+    doc.setdefault("workloads", {}).setdefault(args.workload, {})[key] = entry
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for name, m in metrics.items():
         print(f"{name:<16} parent {m['parent']['median']:.6g} change {m['change']['median']:.6g} "
               f"wins {m['wins']} gain={m['gain']} worse_than_bound={m['worse_than_bound']}")
+    print(f"failed_share {entry['failed_share']} more_failures={entry['more_failures']}")
     return 0
 
 
