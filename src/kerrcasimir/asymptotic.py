@@ -64,8 +64,8 @@ def high_T_expansion(frame: ProperFrame, Tp: float) -> float:
     quadratic term, all higher inverse powers of Tp vanish identically,
     and the remaining error is exponentially small in Lp*Tp.
     """
-    if not (Tp > 0.0):
-        raise DomainError(f"proper temperature must be > 0, got Tp={Tp}")
+    if not (0.0 < Tp < math.inf):
+        raise DomainError(f"proper temperature must be finite and > 0, got Tp={Tp}")
     return (
         frame.Vp * blackbody_density(Tp)
         + frame.Sp * ZETA3 * Tp**3 / (4.0 * math.pi)
@@ -85,8 +85,8 @@ def low_T_free_energy(
     value = E0_ren - zeta(3) Sp Tp^3/(4 pi) + Vp pi^2 Tp^4/90 with leading
     correction -(Sp/(2 Lp)) Tp^2 e^(-pi/(Lp Tp)).
     """
-    if Tp < 0.0:
-        raise DomainError(f"proper temperature must be >= 0, got Tp={Tp}")
+    if not (0.0 <= Tp < math.inf):
+        raise DomainError(f"proper temperature must be finite and >= 0, got Tp={Tp}")
     E0 = vacuum_energy(frame, params, orbit)
     value = (
         E0
@@ -104,8 +104,8 @@ def low_T_entropy(frame: ProperFrame, Tp: float) -> AsymptoticReport:
     correction (pi Sp/(2 Lp^2)) e^(-pi/(Lp Tp)).  Goes to zero with the
     temperature, so the third law holds.
     """
-    if Tp < 0.0:
-        raise DomainError(f"proper temperature must be >= 0, got Tp={Tp}")
+    if not (0.0 <= Tp < math.inf):
+        raise DomainError(f"proper temperature must be finite and >= 0, got Tp={Tp}")
     value = (
         3.0 * ZETA3 / (4.0 * math.pi) * frame.Sp * Tp**2
         - 2.0 * math.pi**2 / 45.0 * frame.Vp * Tp**3
@@ -127,8 +127,8 @@ def low_T_internal_energy(
     of free energy, entropy and internal energy cancel exactly in
     U - (F + Tp S), as the Legendre identity requires.
     """
-    if Tp < 0.0:
-        raise DomainError(f"proper temperature must be >= 0, got Tp={Tp}")
+    if not (0.0 <= Tp < math.inf):
+        raise DomainError(f"proper temperature must be finite and >= 0, got Tp={Tp}")
     E0 = vacuum_energy(frame, params, orbit)
     value = (
         E0

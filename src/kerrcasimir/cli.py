@@ -53,12 +53,25 @@ _ON_OFF = {"1": True, "true": True, "yes": True, "on": True,
            "0": False, "false": False, "no": False, "off": False}
 
 
+def _omega_spec(text: str) -> str:
+    """--omega's value, unchanged once it reads as a number, 'zamo' or
+    'frac=<number>' (any case); _resolve_omega gives it meaning."""
+    spec = text.strip().lower()
+    if spec != "zamo":
+        try:
+            float(spec[5:] if spec.startswith("frac=") else spec)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be a number, 'zamo' or 'frac=<number>', got {text!r}") from None
+    return text
+
+
 def _add_point_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mass", type=float, default=1.0, help="source mass M (geometric units)")
     parser.add_argument("--spin", type=float, default=0.0, help="specific angular momentum a")
     parser.add_argument("--radius", type=float, default=10.0, help="orbit radius r (Boyer-Lindquist)")
     parser.add_argument(
-        "--omega", default="zamo",
+        "--omega", type=_omega_spec, default="zamo",
         help="orbit angular velocity: a number, 'zamo' (= dragging value), "
              "or 'frac=<f>' for omega_d + f * (allowed half-width), f in (-1, 1)",
     )
@@ -141,6 +154,8 @@ def _load_config(path: str, sub: argparse.ArgumentParser) -> dict:
                 convert = action.type or str
                 try:
                     typed = convert(value)
+                except argparse.ArgumentTypeError as exc:  # a checker that states its rule
+                    raise DomainError(f"{path}:{lineno}: {key} {exc}") from None
                 except ValueError:
                     raise DomainError(f"{path}:{lineno}: {key} must be {convert.__name__}, "
                                       f"got {value!r}") from None

@@ -141,7 +141,11 @@ class ProperFrame:
     C is the 4-velocity normalization / redshift factor.  Lp, Sp, Vp are the
     proper plate separation, plate area and cavity volume; Sp*Lp = Vp holds
     identically.  Tp = T*C is the proper (Tolman) temperature for coordinate
-    temperature T.
+    temperature T.  v2 = (A^2/(r^4 Delta))(Omega - omega_d)^2 is the
+    cavity's squared speed relative to the zero-angular-momentum observer
+    (ZAMO), from the same observer pass as C, so C_ZAMO/C = sqrt(1 - v2);
+    the default 0.0 is a cavity comoving with the ZAMO (any static observer
+    in flat space).  It is the one field that is not a record column.
     """
 
     C: float
@@ -149,6 +153,7 @@ class ProperFrame:
     Sp: float
     Vp: float
     Tp: float
+    v2: float = 0.0
 
 
 def horizon_radius(params: KerrParams) -> float:
@@ -207,11 +212,13 @@ def allowed_omega_interval(params: KerrParams, r: float) -> tuple[float, float]:
 def _observer(
     params: KerrParams, orbit: EquatorialOrbit
 ) -> tuple[MetricFunctions, float, float, float]:
-    """Metric functions, omega_d, normalization bracket and C of the orbit.
+    """Metric functions, omega_d, v2 and C of the orbit.
 
-    bracket = 1 - (A^2/(r^4 Delta))(Omega - omega_d)^2 must be positive, and
-    the band endpoints are compared as the same floats allowed_omega_interval
-    returns, so feeding an endpoint back is rejected deterministically.
+    v2 = (A^2/(r^4 Delta))(Omega - omega_d)^2 is the cavity's squared speed
+    relative to the zero-angular-momentum observer (ZAMO).  The
+    normalization bracket 1 - v2 must be positive, and the band endpoints
+    are compared as the same floats allowed_omega_interval returns, so
+    feeding an endpoint back is rejected deterministically.
     """
     r = orbit.r
     mf, omega_d, half_width = _omega_band(params, r)
@@ -221,14 +228,15 @@ def _observer(
             f"({omega_d - half_width}, {omega_d + half_width}) of timelike orbits"
         )
     dOm = orbit.Omega - omega_d
-    bracket = 1.0 - (mf.BigA * mf.BigA / (r**4 * mf.Delta)) * dOm * dOm
+    v2 = (mf.BigA * mf.BigA / (r**4 * mf.Delta)) * dOm * dOm
+    bracket = 1.0 - v2
     if bracket <= 0.0:
         raise ForbiddenOrbitError(
             f"Omega={orbit.Omega} at r={r} is null or superluminal "
             "(normalization bracket <= 0)"
         )
     C = 1.0 / math.sqrt((r * r * mf.Delta / mf.BigA) * bracket)
-    return mf, omega_d, bracket, C
+    return mf, omega_d, v2, C
 
 
 def velocity_normalization(params: KerrParams, orbit: EquatorialOrbit) -> float:
@@ -272,7 +280,7 @@ def proper_frame(
     """
     if not (0.0 <= T < math.inf):
         raise DomainError(f"temperature must be finite and >= 0, got T={T}")
-    mf, _, _, C = _observer(params, orbit)
+    mf, _, v2, C = _observer(params, orbit)
     r = orbit.r
     sqrt_delta = math.sqrt(mf.Delta)
     frame = ProperFrame(
@@ -281,6 +289,7 @@ def proper_frame(
         Sp=(r / sqrt_delta) * cavity.S0,
         Vp=cavity.S0 * cavity.L * C,
         Tp=T * C,
+        v2=v2,
     )
     if not all(map(math.isfinite, (frame.Lp, frame.Sp, frame.Vp, frame.Tp))):
         raise DomainError(f"proper frame is not finite: {frame}")

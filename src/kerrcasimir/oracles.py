@@ -380,8 +380,8 @@ def blackbody_quadrature(Tp: float, cfg: OracleConfig = OracleConfig()) -> float
     relative accuracy 1e-10; needing more than cfg.quad_points subintervals
     raises QuadratureError.
     """
-    if not (Tp > 0.0):
-        raise DomainError(f"proper temperature must be > 0, got Tp={Tp}")
+    if not (0.0 < Tp < math.inf):
+        raise DomainError(f"proper temperature must be finite and > 0, got Tp={Tp}")
 
     def integrand(us: list[float]) -> list[float]:
         return [

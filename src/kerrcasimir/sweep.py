@@ -168,10 +168,11 @@ class OutputRecord(NamedTuple):
     """One grid point: inputs, proper frame, thermal report, diagnostics, status.
 
     The fields are the CSV columns in order (see CSV_COLUMNS): the inputs,
-    then the ProperFrame fields, a CasimirReport and a ValidityDiagnostics,
-    each in its own field order.  Result fields are None for points whose
-    status is not 'ok'; identity_residual is the relative residual of
-    U - (F + Tp*S), recorded as an always-on internal consistency diagnostic.
+    then the ProperFrame fields other than v2, a CasimirReport and a
+    ValidityDiagnostics, each in its own field order.  Result fields are
+    None for points whose status is not 'ok'; identity_residual is the
+    relative residual of U - (F + Tp*S), recorded as an always-on internal
+    consistency diagnostic.
     """
 
     M: float

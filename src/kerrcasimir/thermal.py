@@ -4,7 +4,10 @@ All quantities are expressed in proper variables of the comoving observer:
 plate separation Lp, plate area Sp, volume Vp = Sp*Lp and proper
 temperature Tp, with k_B = 1.  The dimensionless series parameter is
 beta_hat = 1/(2*Lp*Tp); small beta_hat is the high-temperature (or large
-separation) regime, large beta_hat the low-temperature one.
+separation) regime, large beta_hat the low-temperature one.  The vacuum
+energy E0 also needs the orbit's factor C_ZAMO/C = sqrt(1 - v2), which is
+read from the frame (ProperFrame.v2), so every quantity here is a function
+of the frame alone; the params and orbit arguments are not read for it.
 
 F, S and U are built from the coth sum S(b) = sum_m coth(pi m b)/m^3 and
 its first two derivatives.  With ce = coth - 1 and se = 1/sinh^2 =
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, TruncationError
-from .geometry import EquatorialOrbit, KerrParams, ProperFrame, _observer
+from .geometry import EquatorialOrbit, KerrParams, ProperFrame
 
 __all__ = [
     "SeriesControl",
@@ -106,7 +109,8 @@ class CasimirReport(NamedTuple):
     underflows.  truncation_estimate is 0.0 because every sum runs to
     underflow; beta_hat is infinite on the zero-temperature path.
     DeltaTF_ren, S_ren and U_ren - E0_ren depend on the comoving Lp, Sp and
-    Tp only; E0_ren carries the ZAMO's cavity volume (see vacuum_energy).
+    Tp only; E0_ren also reads the frame's v2 and carries the ZAMO's cavity
+    volume (see vacuum_energy).
     The fields are OutputRecord's report columns, in order.
     """
 
@@ -195,23 +199,29 @@ def _thermal_parts(frame: ProperFrame, bh: BetaHat) -> tuple[float, float, float
 
 def flat_casimir_density(Lp: float) -> float:
     """Vacuum Casimir energy density -pi^2/(1440 Lp^4) of a flat Dirichlet slab."""
-    if not (Lp > 0.0):
-        raise DomainError(f"proper separation must be > 0, got Lp={Lp}")
+    if not (0.0 < Lp < math.inf):
+        raise DomainError(f"proper separation must be finite and > 0, got Lp={Lp}")
     return -math.pi**2 / (1440.0 * Lp**4)
 
 
 def vacuum_energy(frame: ProperFrame, params: KerrParams, orbit: EquatorialOrbit) -> float:
     """Renormalized zero-temperature Casimir energy of the comoving cavity.
 
-    E0_ren = Vp * eps0(Lp) * [1 - (A^2/(r^4 Delta)) (Omega - omega_d)^2]^(1/2)
+    E0_ren = Vp * eps0(Lp) * (1 - v2)^(1/2),
+    v2 = (A^2/(r^4 Delta)) (Omega - omega_d)^2,
 
-    with eps0 the flat-space density at the proper separation.  The root is
-    C_ZAMO/C, C_ZAMO = sqrt(A/(r^2 Delta)) being C of the zero-angular-momentum
-    observer (ZAMO), so E0_ren = (S0 L C_ZAMO) eps0(Lp), the ZAMO's cavity
-    volume times the comoving density; flat space gives sqrt(1 - r^2 Omega^2).
+    with eps0 the flat-space density at the proper separation and v2 the
+    cavity's squared speed relative to the zero-angular-momentum observer
+    (ZAMO).  The root is C_ZAMO/C, C_ZAMO = sqrt(A/(r^2 Delta)) being C of
+    the ZAMO, so E0_ren = (S0 L C_ZAMO) eps0(Lp), the ZAMO's cavity volume
+    times the comoving density; flat space gives sqrt(1 - r^2 Omega^2).
+    The orbit factor is read from the frame (frame.v2, set by proper_frame
+    in its one observer pass); params and orbit are not read.  A frame
+    whose v2 lies outside [0, 1) raises DomainError.
     """
-    _, _, bracket, _ = _observer(params, orbit)
-    return frame.Vp * flat_casimir_density(frame.Lp) * math.sqrt(bracket)
+    if not (0.0 <= frame.v2 < 1.0):
+        raise DomainError(f"squared speed relative to the ZAMO must lie in [0, 1), got v2={frame.v2}")
+    return frame.Vp * flat_casimir_density(frame.Lp) * math.sqrt(1.0 - frame.v2)
 
 
 def beta_hat(frame: ProperFrame) -> BetaHat:
@@ -244,8 +254,8 @@ def thermal_correction_exact(frame: ProperFrame, bh: BetaHat, ctl: SeriesControl
 
 def blackbody_density(Tp: float) -> float:
     """Free-energy density -pi^2 Tp^4/90 of scalar black-body radiation."""
-    if Tp < 0.0:
-        raise DomainError(f"proper temperature must be >= 0, got Tp={Tp}")
+    if not (0.0 <= Tp < math.inf):
+        raise DomainError(f"proper temperature must be finite and >= 0, got Tp={Tp}")
     return 0.0 - math.pi**2 * Tp**4 / 90.0  # +0.0, not -0.0, at Tp = 0
 
 

@@ -305,17 +305,26 @@ class TestOneObserverPass:
         proper_frame(params, orbit, cavity, T=1.0)
         assert observer_calls == [orbit]
 
-    def test_evaluate_point_takes_two_passes(self, observer_calls, kerr_fast):
+    def test_evaluate_point_takes_one_pass(self, observer_calls, kerr_fast):
         from kerrcasimir import PointRequest, PointStatus, evaluate_point
 
         params, orbit, cavity = kerr_fast
         record = evaluate_point(PointRequest(params=params, orbit=orbit, cavity=cavity, T=1.0))
         assert record.status is PointStatus.OK
-        # proper_frame and vacuum_energy; cavity_validity needs no observer.
-        assert observer_calls == [orbit, orbit]
+        # proper_frame's; E0 reads the frame and cavity_validity needs no observer.
+        assert observer_calls == [orbit]
+
+    def test_vacuum_energy_takes_no_pass(self, observer_calls, kerr_fast):
+        from kerrcasimir import vacuum_energy
+
+        params, orbit, cavity = kerr_fast
+        frame = proper_frame(params, orbit, cavity)
+        observer_calls.clear()
+        vacuum_energy(frame, params, orbit)
+        assert observer_calls == []
 
     @pytest.mark.parametrize("quantity", [
-        "velocity_normalization", "comoving_metric", "vacuum_energy",
+        "velocity_normalization", "comoving_metric",
         "eigenfrequency", "corrected_eigenfrequency",
     ])
     def test_each_orbit_quantity_takes_one_pass(self, observer_calls, kerr_fast, quantity):
@@ -324,11 +333,7 @@ class TestOneObserverPass:
 
         params, orbit, cavity = kerr_fast
         fn = getattr(kerrcasimir, quantity)
-        if quantity == "vacuum_energy":
-            frame = proper_frame(params, orbit, cavity)
-            observer_calls.clear()
-            fn(frame, params, orbit)
-        elif quantity.endswith("eigenfrequency"):
+        if quantity.endswith("eigenfrequency"):
             fn(ModeIndex(n=2, ky=3.0, kz=1.5), params, orbit, cavity)
         else:
             fn(params, orbit)

@@ -135,7 +135,10 @@ class TestSchema:
 
     def test_frame_report_and_diagnostics_are_record_columns_in_order(self):
         """evaluate_point lays these values end to end into the record."""
-        assert CSV_COLUMNS[7:12] == tuple(field.name for field in fields(ProperFrame))
+        frame_fields = [field.name for field in fields(ProperFrame)]
+        assert CSV_COLUMNS[7:12] == tuple(name for name in frame_fields if name != "v2")
+        # The squared speed relative to the ZAMO feeds E0 and is not written.
+        assert [name for name in frame_fields if name not in CSV_COLUMNS] == ["v2"]
         assert CSV_COLUMNS[12:21] == CasimirReport._fields
         assert CSV_COLUMNS[21:25] == ValidityDiagnostics._fields
 

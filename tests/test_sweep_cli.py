@@ -359,6 +359,21 @@ class TestCli:
         assert main(["point", "--length", "0"]) == 2
         assert main(["point", "--omega", "frac=1.5"]) == 2
 
+    @pytest.mark.parametrize("command, value", [
+        (["point"], "abc"),
+        (["point"], "frac=x"),
+        (["point"], "frac="),
+        (["sweep", "--axis", "r", "--start", "3", "--stop", "30", "--count", "3"], "abc"),
+    ], ids=["point number", "point fraction", "point empty fraction", "sweep number"])
+    def test_malformed_omega_names_its_flag(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--omega", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"argument --omega: must be a number, 'zamo' or 'frac=<number>', "
+                f"got {value!r}") in captured.err
+
     @pytest.mark.parametrize("omega", ["zamo", "frac=0.5"])
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_point_preset_inside_the_horizon_writes_its_record(self, capsys, omega, fmt):
@@ -524,7 +539,8 @@ class TestCli:
         (["point"], "temperature=hot", "temperature must be float, got 'hot'"),
         (["sweep", "--axis", "T", "--start", "0.5", "--stop", "1.5"], "count=1e3",
          "count must be int, got '1e3'"),
-    ], ids=["float key", "int key"])
+        (["point"], "omega=abc", "omega must be a number, 'zamo' or 'frac=<number>', got 'abc'"),
+    ], ids=["float key", "int key", "omega key"])
     def test_config_value_of_the_wrong_type_names_its_line(self, tmp_path, capsys,
                                                              command, line, message):
         config = tmp_path / "typed.cfg"

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrcasimir import (
     BetaHat,
@@ -21,11 +23,18 @@ from kerrcasimir import (
     beta_hat,
     blackbody_density,
     casimir_report,
+    blackbody_quadrature,
     double_sum_free_energy,
     entropy,
+    equatorial_metric_functions,
     evaluate_point,
     flat_casimir_density,
+    high_T_expansion,
+    horizon_radius,
     internal_energy,
+    low_T_entropy,
+    low_T_free_energy,
+    low_T_internal_energy,
     orbit_from_band_fraction,
     proper_frame,
     renorm_thermal_correction,
@@ -72,8 +81,44 @@ class TestVacuumEnergy:
     def test_zamo_has_unit_bracket(self, kerr_zamo):
         params, orbit, cavity = kerr_zamo
         frame = proper_frame(params, orbit, cavity)
-        expected = frame.Vp * flat_casimir_density(frame.Lp)
-        assert vacuum_energy(frame, params, orbit) == pytest.approx(expected, rel=1e-14)
+        assert frame.v2 == 0.0
+        assert vacuum_energy(frame, params, orbit) == frame.Vp * flat_casimir_density(frame.Lp)
+
+    @given(
+        spin=st.floats(-0.99, 0.99),
+        u=st.floats(0.0, 1.0),
+        frac=st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True),
+        T=st.floats(0.0, 10.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_off_zamo_factor_is_the_ratio_of_normalizations(self, spin, u, frac, T):
+        """E0 = Vp eps0(Lp) C_ZAMO/C, with C_ZAMO = sqrt(A/(r^2 Delta)) from the
+        metric functions rather than from the frame's v2."""
+        params = KerrParams(M=1.0, a=spin)
+        r_min = 1.05 * horizon_radius(params)
+        r = r_min + u * (100.0 - r_min)
+        orbit = orbit_from_band_fraction(params, r, frac)
+        frame = proper_frame(params, orbit, CavityGeometry(L=0.01, S0=1e-4), T)
+        mf = equatorial_metric_functions(params, r)
+        C_zamo = math.sqrt(mf.BigA / (r * r * mf.Delta))
+        expected = frame.Vp * flat_casimir_density(frame.Lp) * C_zamo / frame.C
+        E0 = vacuum_energy(frame, params, orbit)
+        assert abs(E0 - expected) <= 1e-13 * abs(expected)
+        hotter = replace(frame, Tp=2.0 * frame.Tp + 1.0)
+        assert vacuum_energy(hotter, params, orbit) == E0
+
+    def test_replace_keeps_the_frame_speed(self, kerr_fast):
+        params, orbit, cavity = kerr_fast
+        frame = proper_frame(params, orbit, cavity)
+        hotter = replace(frame, Tp=2.0)
+        assert hotter.v2 == frame.v2 > 0.0
+        assert vacuum_energy(hotter, params, orbit) == vacuum_energy(frame, params, orbit)
+
+    @pytest.mark.parametrize("v2", [-1e-3, 1.0, 2.0, math.nan, math.inf])
+    def test_frame_speed_outside_the_light_cone_rejected(self, v2):
+        frame = ProperFrame(C=1.0, Lp=1.0, Sp=1.0, Vp=1.0, Tp=0.0, v2=v2)
+        with pytest.raises(DomainError):
+            vacuum_energy(frame, FLAT, STATIC)
 
     def test_half_band_orbit(self):
         # Omega = omega_d + 0.5 * half-width makes the bracket exactly 0.75.
@@ -172,6 +217,25 @@ class TestBlackbodyDensity:
 
     def test_quartic(self):
         assert blackbody_density(2.0) == pytest.approx(16.0 * blackbody_density(1.0), rel=1e-15)
+
+
+_UNIT = ProperFrame(C=1.0, Lp=1.0, Sp=1.0, Vp=1.0, Tp=1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [
+    blackbody_density,
+    lambda Tp: low_T_free_energy(_UNIT, FLAT, STATIC, Tp),
+    lambda Tp: low_T_entropy(_UNIT, Tp),
+    lambda Tp: low_T_internal_energy(_UNIT, FLAT, STATIC, Tp),
+    lambda Tp: high_T_expansion(_UNIT, Tp),
+    blackbody_quadrature,
+    flat_casimir_density,
+], ids=["blackbody_density", "low_T_free_energy", "low_T_entropy", "low_T_internal_energy",
+        "high_T_expansion", "blackbody_quadrature", "flat_casimir_density"])
+def test_non_finite_temperature_or_separation_rejected(call, value):
+    with pytest.raises(DomainError):
+        call(value)
 
 
 class TestTotalFreeEnergy:
