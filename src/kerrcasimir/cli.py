@@ -10,8 +10,9 @@ given to, required ones included (keys are the long flag names, with
 ``-`` or ``_`` interchangeable, typed and checked as the flags are; an
 on/off flag reads 1/true/yes/on or 0/false/no/off in any case); explicit
 flags always win, and any other key or on/off value exits 2.  ``point`` and
-``sweep`` take no series flags: the thermal series always runs to
-underflow, so ``--rel-tol`` and ``--m-max`` belong to ``validate`` alone.
+``sweep`` take no series flags: the thermal series always stops where its
+terms stop changing the sums, so ``--rel-tol`` and ``--m-max`` belong to
+``validate`` alone.
 Both write their records with the serializer that ``--format`` names.
 ``sweep --axis Omega`` does not resolve ``--omega``, which the axis
 replaces at every point; any other sweep exits 2 when ``zamo`` or

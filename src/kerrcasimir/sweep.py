@@ -2,7 +2,7 @@
 
 Every grid point is evaluated by a pure function in one process, in grid
 order, so the emitted bytes depend only on the sweep specification.  A
-point costs at most 111 series terms at any temperature, and the GIL
+point costs at most 6 series terms at any temperature, and the GIL
 serializes the pure-Python kernel, so sweeps run without a thread pool.
 A record is an ``OutputRecord`` named tuple whose fields are the CSV
 columns in order.  Failed points (forbidden orbit, inside horizon, naked

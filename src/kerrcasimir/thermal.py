@@ -26,8 +26,9 @@ S'' = 2 pi^2 C.  Two representations share that loop:
   power terms cancel algebraically; what is left is the complete
   high-temperature power part plus sums decaying like e^(-2 pi m/beta_hat).
 
-Either way the sums run at an argument a >= 1 until e^(-2 pi m a)
-underflows, so a point needs at most 111 terms at any temperature.
+Either way the sums run at an argument a >= 1, where each term is at most
+e^(-2 pi) times the one before, and stop at the first term that leaves all
+three unchanged, so a point needs at most 6 terms at any temperature.
 """
 
 from __future__ import annotations
@@ -71,11 +72,12 @@ _PI3 = math.pi**3
 class SeriesControl:
     """Truncation policy for the thermal series.
 
-    The sums run until their exponentially decaying terms underflow, so the
-    achieved relative truncation is below any admissible rel_tol, the
-    guaranteed bound.  Exceeding m_max terms raises TruncationError, which
-    the default never does (at most 111 terms are needed).  Only
-    thermal_correction_exact takes one; every other quantity runs the default.
+    The sums stop at the first term that changes none of them, so the
+    omitted terms change no bit and the achieved relative truncation is
+    below any admissible rel_tol, the guaranteed bound.  Exceeding m_max
+    terms raises TruncationError, which the default never does (at most 6
+    terms are needed).  Only thermal_correction_exact takes one; every
+    other quantity runs the default.
     """
 
     rel_tol: float = 1e-12
@@ -106,8 +108,9 @@ class CasimirReport(NamedTuple):
     satisfy.  terms_used counts the one series pass shared by F, S and U
     (direct for beta_hat >= 1, inverted below); it is 0 at zero temperature
     and for beta_hat below about 0.009, where e^(-2 pi/beta_hat) already
-    underflows.  truncation_estimate is 0.0 because every sum runs to
-    underflow; beta_hat is infinite on the zero-temperature path.
+    underflows.  truncation_estimate is 0.0 because every sum stops only
+    where the terms it omits change no bit of it; beta_hat is infinite on
+    the zero-temperature path.
     DeltaTF_ren, S_ren and U_ren - E0_ren depend on the comoving Lp, Sp and
     Tp only; E0_ren also reads the frame's v2 and carries the ZAMO's cavity
     volume (see vacuum_energy).
@@ -135,8 +138,11 @@ def _kernel(bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> tuple[float, f
     plus the number of terms.  One loop sums A = ce/m^3, B = se/m^2 and
     C = (1 + ce) se/m at the series argument beta_hat (direct) or, when
     beta_hat < 1, at u = 1/beta_hat (inverted); either way successive terms
-    shrink by at least e^(-2 pi) and at most 111 terms come before pi m s
-    passes 350.  Hitting ctl.m_max first raises TruncationError.  With
+    shrink by at least e^(-2 pi).  The loop stops, without adding it, at the
+    first term that leaves A, B and C all unchanged: the increments are
+    positive and decreasing, so no later term could change a bit, and at
+    most 6 terms are added.  It also stops once pi m s passes 350, where
+    the terms underflow.  Hitting ctl.m_max first raises TruncationError.  With
     u = 1/beta_hat and f = g + zeta(3) u^3 - pi^3 u^4/45, direct:
 
         g = A u^3 + pi B u^2
@@ -164,9 +170,14 @@ def _kernel(bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> tuple[float, f
             break
         ce = 2.0 / math.expm1(2.0 * x)
         se = ce * (ce + 2.0)
-        A += ce / m**3
-        B += se / m**2
-        C += (1.0 + ce) * se / m
+        A1 = A + ce / m**3
+        B1 = B + se / m**2
+        C1 = C + (1.0 + ce) * se / m
+        # The increments are positive and decrease with m, so once term m
+        # leaves all three sums unchanged no later term can change a bit.
+        if A1 == A and B1 == B and C1 == C:
+            break
+        A, B, C = A1, B1, C1
     else:
         ratio = math.exp(-2.0 * math.pi * arg)
         raise TruncationError(
@@ -311,8 +322,9 @@ def casimir_report(frame: ProperFrame, params: KerrParams, orbit: EquatorialOrbi
 
     Uses the proper temperature stored in the frame.  F, S and U come from
     one series pass: direct sums at beta_hat >= 1, inverted sums at
-    1/beta_hat below, at most 111 terms either way; terms_used counts that
-    pass and is 0 for beta_hat below about 0.009.  Tp = 0 takes the exact
+    1/beta_hat below, each stopped at the first term that changes none of
+    the sums, at most 6 terms either way; terms_used counts that pass and
+    is 0 for beta_hat below about 0.009.  Tp = 0 takes the exact
     zero-temperature path (F = U = E0, S = 0, no series evaluation).
     """
     bh = beta_hat(frame)

@@ -13,6 +13,7 @@ from kerrcasimir import (
     KerrParams,
     EquatorialOrbit,
     OracleConfig,
+    ProperFrame,
     QuadratureError,
     TruncationError,
     blackbody_density,
@@ -23,6 +24,7 @@ from kerrcasimir import (
     internal_energy,
     quadrature_free_energy,
     thermal_correction_exact,
+    thermal_correction_resummed_form,
     validation_checks,
 )
 from kerrcasimir import oracles
@@ -72,6 +74,54 @@ class TestDoubleSum:
         with pytest.raises(TruncationError) as excinfo:
             double_sum_free_energy(frame, BetaHat(1.0), OracleConfig(m_max=1))
         assert excinfo.value.partial_sum is not None
+
+
+def single_sum_to_underflow(frame, b):
+    """thermal_correction_resummed_form with the sum run until e^(-2 pi m b)
+    underflows, the reference for its stop rule."""
+    terms = []
+    m = 1
+    while 2.0 * math.pi * m * b <= 700.0:
+        z = 2.0 * math.pi * m * b
+        emz = math.exp(-z)
+        terms.append(((z + 1.0) - emz) * emz / (1.0 - emz) ** 2 / (m * b) ** 3)
+        m += 1
+    return -frame.Sp / (16.0 * math.pi * frame.Lp**3) * math.fsum(terms)
+
+
+class TestSingleSum:
+    @pytest.mark.parametrize("grid", ["representation", "200-point"])
+    def test_stop_rule_matches_the_sum_run_to_underflow_bit_for_bit(self, unit_frame_at, grid):
+        bs = (oracles._REPRESENTATION_GRID if grid == "representation"
+              else [0.003 * (100.0 / 0.003) ** (i / 199) for i in range(200)])
+        for b in bs:
+            frame = unit_frame_at(b)
+            value = thermal_correction_resummed_form(frame, BetaHat(b))
+            assert value.hex() == single_sum_to_underflow(frame, b).hex(), b
+
+    def test_truncation_error_is_scaled_like_the_value(self):
+        frame = ProperFrame(C=1.0, Lp=2.0, Sp=3.0, Vp=6.0, Tp=0.25)
+        value = thermal_correction_resummed_form(frame, BetaHat(1.0))
+        with pytest.raises(TruncationError) as excinfo:
+            thermal_correction_resummed_form(frame, BetaHat(1.0), OracleConfig(m_max=1))
+        err = excinfo.value
+        assert math.copysign(1.0, err.partial_sum) == math.copysign(1.0, value)
+        assert abs(value) > abs(err.partial_sum) > abs(value) / 2.0
+        assert 0.0 < err.tail_estimate <= abs(err.partial_sum)
+
+
+class TestZeroTemperature:
+    @pytest.mark.parametrize("oracle", [double_sum_free_energy, quadrature_free_energy,
+                                        thermal_correction_resummed_form])
+    def test_oracles_return_positive_zero(self, oracle):
+        value = oracle(oracles._unit_flat_frame(1.0), BetaHat(math.inf))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_quadrature_diagnostics_keep_their_shape(self):
+        value, info = quadrature_free_energy(oracles._unit_flat_frame(1.0), BetaHat(math.inf),
+                                             full_output=True)
+        assert math.copysign(1.0, value) == 1.0
+        assert info == {"n_used": 0, "t_cutoff": 0.0, "tail_estimate": 0.0}
 
 
 class TestQuadrature:
@@ -178,6 +228,11 @@ class TestFiniteDifferences:
         frame = unit_frame_at(1.0)
         with pytest.raises(FDStepError):
             finite_difference_thermo(frame, FLAT, STATIC, frame.Tp, OracleConfig(fd_step=1e-17))
+
+    @pytest.mark.parametrize("Tp", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_non_finite_or_non_positive_temperature_is_a_domain_error(self, unit_frame_at, Tp):
+        with pytest.raises(DomainError):
+            finite_difference_thermo(unit_frame_at(1.0), FLAT, STATIC, Tp)
 
 
 class TestValidationSuite:

@@ -203,7 +203,7 @@ class TestFailedRecords:
 class TestNothingNonFiniteIsSerialized:
     @given(M=st.floats(), a=st.floats(), r=st.floats(), Omega=st.floats(),
            L=st.floats(), S0=st.floats(), T=st.floats())
-    @settings(max_examples=200, deadline=1000)  # ms: a point costs <= 111 terms
+    @settings(max_examples=200, deadline=1000)  # ms: a point costs <= 6 terms
     def test_evaluated_points(self, M, a, r, Omega, L, S0, T):
         req = PointRequest(
             params=unchecked(KerrParams, M=M, a=a, black_hole_mode=True),

@@ -136,7 +136,7 @@ class TestEvaluatePoint:
         assert record.S_ren == 0.0
 
     @given(T=st.floats(), L=st.floats(), S0=st.floats())
-    @settings(max_examples=300, deadline=1000)  # ms: a point costs <= 111 terms
+    @settings(max_examples=300, deadline=1000)  # ms: a point costs <= 6 terms
     def test_any_float_input_yields_a_finite_record(self, T, L, S0):
         try:
             cavity = CavityGeometry(L=L, S0=S0)
@@ -156,7 +156,7 @@ class TestEvaluatePoint:
         assert record.identity_residual <= 1e-9
 
     @given(M=st.floats(), a=st.floats(), r=st.floats(), Omega=st.floats())
-    @settings(max_examples=300, deadline=1000)  # ms: a point costs <= 111 terms
+    @settings(max_examples=300, deadline=1000)  # ms: a point costs <= 6 terms
     def test_any_float_source_and_orbit_yield_a_finite_record(self, M, a, r, Omega):
         try:
             params = KerrParams(M=M, a=a)

@@ -43,6 +43,7 @@ from kerrcasimir import (
     total_free_energy,
     vacuum_energy,
 )
+from kerrcasimir import thermal
 
 # Reference values computed with 40-digit arithmetic for the unit frame
 # (Sp = Lp = 1); the unrenormalized thermal correction, the entropy and
@@ -404,6 +405,34 @@ def kerr_report_at(config, b):
     return frame, casimir_report(frame, params, orbit)
 
 
+def kernel_to_underflow(b):
+    """thermal._kernel's (g, f, s, w) with every sum run until its terms
+    underflow (pi m a > 350), the reference for the kernel's stop rule."""
+    u = 1.0 / b
+    inverted = b < 1.0
+    arg = u if inverted else b
+    A = B = C = 0.0
+    m = 1
+    while math.pi * m * arg <= 350.0:
+        ce = 2.0 / math.expm1(2.0 * math.pi * m * arg)
+        se = ce * (ce + 2.0)
+        A += ce / m**3
+        B += se / m**2
+        C += (1.0 + ce) * se / m
+        m += 1
+    pi, pi2, pi3, u2, u3 = math.pi, math.pi**2, math.pi**3, u * u, u * u * u
+    power = ZETA3 * u3 - pi3 * u3 * u / 45.0
+    if inverted:
+        f = ZETA3 * u - pi3 / 45.0 + u * A + pi * B * u2
+        s = ZETA3 + A + pi * B * u - 2.0 * pi2 * C * u2
+        w = pi3 / 90.0 - pi2 * C * u3
+        return f - power, f, s, w
+    g = A * u3 + pi * B * u2
+    s = 3.0 * (ZETA3 + A) * u2 + 3.0 * pi * B * u + 2.0 * pi2 * C - 4.0 * pi3 * u3 / 45.0
+    w = (ZETA3 + A) * u3 + pi * B * u2 + pi2 * C * u - pi3 * u3 * u / 30.0
+    return g, g + power, s, w
+
+
 class TestOnePassKernel:
     @pytest.mark.parametrize("b", KERNEL_GRID)
     def test_matches_40_digit_reference(self, kerr_zamo, b):
@@ -438,6 +467,16 @@ class TestOnePassKernel:
             assert report.terms_used <= 111
             if b < 0.0089:  # e^(-2 pi / b) underflows before the first term
                 assert report.terms_used == 0
+
+    @pytest.mark.parametrize("grid", ["65-point", "KERNEL_GRID"])
+    def test_stop_rule_matches_the_sums_run_to_underflow_bit_for_bit(self, grid):
+        """The loop stops at the first term that changes none of A, B and C;
+        the terms it omits would not have changed a bit."""
+        bs = [10.0 ** (-8.0 + 0.25 * i) for i in range(65)] if grid == "65-point" else KERNEL_GRID
+        for b in bs:
+            *brackets, terms = thermal._kernel(BetaHat(b))
+            assert list(map(float.hex, brackets)) == list(map(float.hex, kernel_to_underflow(b))), b
+            assert terms <= 8
 
     def test_high_temperature_point_is_ok(self, kerr_zamo):
         params, orbit, cavity = kerr_zamo
