@@ -110,9 +110,19 @@ def build_parser() -> argparse.ArgumentParser:
     # One flag per OracleConfig field (n_max <-> --n-max), typed and
     # defaulted by the field itself.
     types = get_type_hints(OracleConfig)
+    helps = {
+        "n_max": "most mode terms (n) of the double sum and the mode-sum quadrature",
+        "m_max": "most terms (m) of the double sum and the single sum",
+        "quad_points": "most subintervals per quadrature",
+        "fd_step": "relative step of the finite differences in Tp",
+        "rel_tol": "relative accuracy of the mode-sum quadrature (floored at 1e-13) "
+                   "and stop of the double sum, each at most 1e-12; the mode and "
+                   "single sums stop where their terms stop changing them",
+    }
     for field in fields(OracleConfig):
         p_val.add_argument("--" + field.name.replace("_", "-"),
-                           type=types[field.name], default=field.default)
+                           type=types[field.name], default=field.default,
+                           help=helps[field.name])
     p_val.add_argument("--output", default=None, help="write the JSON report here")
     p_val.add_argument("--config", default=None, help="key=value file with flag defaults")
 

@@ -5,7 +5,11 @@ Each function here reaches the same quantity as the closed forms in
 sum over mode and Matsubara-like indices, direct numerical quadrature of
 the mode-sum integral before any resummation, a momentum-space quadrature
 for the black-body density, and centered finite differences for the
-thermodynamic derivatives.  They are slow and simple on purpose.
+thermodynamic derivatives.  They are slow and simple on purpose, but the
+mode-sum quadrature shares its work exactly: in rho = sqrt(n^2 + t^2) every
+mode's transverse integral has the same integrand, so each unit segment in
+rho is integrated once for all modes, and the modes are summed until they
+stop changing the sum (see quadrature_free_energy).
 
 Both quadratures use the adaptive 21-point Gauss-Kronrod rule defined here,
 a port of the rule ``scipy.integrate.quad`` runs (QUADPACK), so the package
@@ -58,13 +62,22 @@ _EXP_CUTOFF = 700.0
 # integral and the adaptive rule does not bisect its way down from 700.
 _SPLIT_DZ = 32.0
 
+_LN2 = math.log(2.0)
+
 # The single sum stops after a term at most this fraction of the running sum.
 _SUM_STOP = 2.0**-70
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Cutoffs and steps for the brute-force evaluations."""
+    """Cutoffs and steps for the brute-force evaluations.
+
+    rel_tol sets two things only: the mode-sum quadrature's relative
+    accuracy, max(rel_tol, 1e-13), and the double sum's stop, at a diagonal
+    shell at most rel_tol times its partial sum.  The mode sum stops where
+    its terms stop changing it and the single sum at 2^-70 of its running
+    sum, whatever rel_tol is; the black-body quadrature asks for 1e-10.
+    """
 
     n_max: int = 10**5
     m_max: int = 10**5
@@ -300,26 +313,42 @@ def thermal_correction_resummed_form(
     return prefactor * math.fsum(terms)
 
 
-def _transverse_integral(n: int, b: float, cfg: OracleConfig) -> tuple[float, float]:
-    """Transverse integral of mode n < 700/(2 pi b) and its cutoff t_cut,
-    taken as described in quadrature_free_energy."""
-    two_pi_b = 2.0 * math.pi * b
-    r_cut = _EXP_CUTOFF / two_pi_b  # radius where exp(-2 pi b rho) underflows
-    t_cut = math.sqrt(r_cut * r_cut - n * n)
+def _mode_integrand(c: float):
+    """f(rho) = rho ln(1 - e^(-c rho)), the integrand every mode shares in
+    rho = sqrt(n^2 + t^2), mapped over a list of abscissae; 0 where c rho > 700.
 
-    def integrand(ts: list[float]) -> list[float]:
+    ln(1 - e^(-z)) is taken as log1p(-e^(-z)) above z = ln 2 and as
+    ln(-expm1(-z)) below, accurate at every z > 0 (Maechler, "Accurately
+    computing log(1 - exp(-|a|))", 2012); log1p(-e^(-z)) alone loses digits
+    as z -> 0 and fails once e^(-z) rounds to 1.
+    """
+
+    def integrand(rhos: list[float]) -> list[float]:
         out = []
-        for t in ts:
-            z = two_pi_b * math.hypot(n, t)
-            out.append(0.0 if z > _EXP_CUTOFF else t * math.log1p(-math.exp(-z)))
+        for rho in rhos:
+            z = c * rho
+            if z > _EXP_CUTOFF:
+                out.append(0.0)
+            elif z > _LN2:
+                out.append(rho * math.log1p(-math.exp(-z)))
+            else:
+                out.append(rho * math.log(-math.expm1(-z)))
         return out
 
-    rho = n + _SPLIT_DZ / two_pi_b
-    points = (0.0, math.sqrt(rho * rho - n * n), t_cut) if rho < r_cut else (0.0, t_cut)
+    return integrand
+
+
+def _transverse_integral(n: int, b: float, cfg: OracleConfig) -> tuple[float, float]:
+    """Transverse integral of mode n < 700/(2 pi b) and its cutoff t_cut,
+    taken in rho over [n, 700/(2 pi b)] as described in quadrature_free_energy."""
+    c = 2.0 * math.pi * b
+    r_cut = _EXP_CUTOFF / c  # radius where exp(-2 pi b rho) underflows
+    rho = n + _SPLIT_DZ / c
+    points = (n, rho, r_cut) if rho < r_cut else (n, r_cut)
     return _adaptive_gk21(
-        integrand, points, max(cfg.rel_tol, 1e-13), cfg.quad_points,
+        _mode_integrand(c), points, max(cfg.rel_tol, 1e-13), cfg.quad_points,
         f"transverse quadrature for n={n} at beta_hat={b}",
-    ), t_cut
+    ), math.sqrt(r_cut * r_cut - n * n)
 
 
 def _mode_sum_tail(n_used: int, b: float) -> float:
@@ -330,7 +359,40 @@ def _mode_sum_tail(n_used: int, b: float) -> float:
     """
     c, K = 2.0 * math.pi * b, n_used + 1
     q, one_minus_q = math.exp(-c), -math.expm1(-c)
-    return math.exp(-c * K) * (1.0 + c * (K + q / one_minus_q)) / (c * c * -math.expm1(-c * K) * one_minus_q)
+    # One division per factor: their product underflows to 0 for tiny b.
+    return math.exp(-c * K) * (1.0 + c * (K + q / one_minus_q)) / c / c / -math.expm1(-c * K) / one_minus_q
+
+
+def _mode_integrals(b: float, cfg: OracleConfig) -> list[float]:
+    """[J_1, ..., J_K], the transverse integrals of modes 1..K, built top-down
+    from unit segments as described in quadrature_free_energy."""
+    c = 2.0 * math.pi * b
+    r_cut = _EXP_CUTOFF / c  # inf for the tiniest b
+    # Modes n < r_cut contribute; one more than n_max shows whether n_max suffices.
+    K = cfg.n_max + 1 if r_cut > cfg.n_max + 1 else math.ceil(r_cut) - 1
+    if K < 1:
+        return []
+    integrand = _mode_integrand(c)
+    epsrel = max(cfg.rel_tol, 1e-13)
+
+    def segment(k: int) -> float:
+        return _adaptive_gk21(integrand, (k, k + 1), epsrel, cfg.quad_points,
+                              f"mode-sum segment [{k}, {k + 1}] at beta_hat={b}")
+
+    segments = []
+    if K > 1:
+        segments.append(segment(1))
+        half_ulp = 0.5 * math.ulp(segments[0])
+        K = next((k for k in range(2, K) if _mode_sum_tail(k - 1, b) < half_ulp), K)
+    J = _transverse_integral(K, b, cfg)[0]
+    if not math.isfinite(J):  # R^2 overflows for b below about 1e-152
+        raise QuadratureError(f"transverse quadrature for n={K} at beta_hat={b} is not finite")
+    segments += [segment(k) for k in range(2, K)]
+    modes = [J]
+    for I_k in reversed(segments):
+        J += I_k
+        modes.append(J)
+    return modes[::-1]
 
 
 def quadrature_free_energy(
@@ -350,14 +412,25 @@ def quadrature_free_energy(
 
     each transverse integral taken on the finite axis up to where the
     exponential argument reaches 700 (the integrand is an exact float64 zero
-    beyond) by the adaptive 21-point Gauss-Kronrod rule of this module, to
-    relative accuracy max(cfg.rel_tol, 1e-13) within cfg.quad_points
-    subintervals, with a break point where the argument has grown by 32
-    from its value at t = 0.  The n sum stops at the first term below
-    cfg.rel_tol times the partial sum.  With ``full_output`` a diagnostics
-    dict with the number of n terms, the cutoff and an analytic bound on the
-    n terms left out is returned.  Raises QuadratureError when a transverse
-    integral needs more subintervals, or the n sum more than cfg.n_max terms.
+    beyond).  The exact change of variable rho = sqrt(n^2 + t^2), t dt =
+    rho drho, turns mode n's integral into J_n = int_n^R f(rho) drho with
+    f(rho) = rho ln(1 - e^(-2 pi bh rho)) and R = 700/(2 pi bh): one
+    integrand for every mode.  So the unit segments I_k = int_k^(k+1) f are
+    each integrated once and the modes are formed top-down, J_n = I_n +
+    J_(n+1).  The top mode K is the first whose analytic tail bound (see
+    _mode_sum_tail) lies below half an ulp of |I_1| <= |sum|, capped below
+    R and at cfg.n_max + 1; J_K is integrated over [K, R] with a break point
+    where the exponent has grown by 32.  Every integral uses the adaptive
+    21-point Gauss-Kronrod rule of this module, to relative accuracy
+    max(cfg.rel_tol, 1e-13) within cfg.quad_points subintervals; all
+    segments share one sign, so each J_n keeps that accuracy.  The n sum
+    stops at the first J_n that leaves the running sum unchanged, which
+    happens by n = K: the modes left out change no bit of it.  With
+    ``full_output`` a diagnostics dict with the number of n terms, the
+    transverse cutoff of the last one and an analytic bound on the n terms
+    left out is returned.  Raises QuadratureError when an integral needs
+    more subintervals, the top one is not finite, or the n sum needs more
+    than cfg.n_max terms.
     """
     b = bh.value
     if not (b > 0.0):
@@ -365,26 +438,22 @@ def quadrature_free_energy(
     if math.isinf(b):
         result = 0.0
         return (result, {"n_used": 0, "t_cutoff": 0.0, "tail_estimate": 0.0}) if full_output else result
-    r_cut = _EXP_CUTOFF / (2.0 * math.pi * b)
-
     total = 0.0
     n_used = 0
-    t_cut = 0.0
-    for n in range(1, cfg.n_max + 1):
-        if n >= r_cut:
+    for J in _mode_integrals(b, cfg):
+        if total + J == total:
             break
-        val, t_cut = _transverse_integral(n, b, cfg)
-        total += val
-        n_used = n
-        if abs(val) <= cfg.rel_tol * abs(total):
-            break
-    else:
-        raise QuadratureError(
-            f"mode sum not converged within n_max={cfg.n_max} at beta_hat={b}"
-        )
+        if n_used == cfg.n_max:
+            raise QuadratureError(
+                f"mode sum not converged within n_max={cfg.n_max} at beta_hat={b}"
+            )
+        total += J
+        n_used += 1
     prefactor = math.pi * frame.Sp / (4.0 * frame.Lp**3 * b)
     result = prefactor * total
     if full_output:
+        r_cut = _EXP_CUTOFF / (2.0 * math.pi * b)
+        t_cut = math.sqrt(r_cut * r_cut - n_used * n_used) if n_used else 0.0
         tail = prefactor * _mode_sum_tail(n_used, b)
         return result, {"n_used": n_used, "t_cutoff": t_cut, "tail_estimate": tail}
     return result

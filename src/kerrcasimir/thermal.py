@@ -142,7 +142,8 @@ def _kernel(bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> tuple[float, f
     first term that leaves A, B and C all unchanged: the increments are
     positive and decreasing, so no later term could change a bit, and at
     most 6 terms are added.  It also stops once pi m s passes 350, where
-    the terms underflow.  Hitting ctl.m_max first raises TruncationError.  With
+    the terms underflow.  Hitting ctl.m_max first raises TruncationError
+    carrying the partial bracket g and a bound on the rest of g.  With
     u = 1/beta_hat and f = g + zeta(3) u^3 - pi^3 u^4/45, direct:
 
         g = A u^3 + pi B u^2
@@ -164,6 +165,7 @@ def _kernel(bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> tuple[float, f
     inverted = b < 1.0
     arg = u if inverted else b
     A = B = C = 0.0
+    truncated = False
     for m in range(1, ctl.m_max + 1):
         x = math.pi * m * arg
         if x > _X_CUTOFF:
@@ -179,13 +181,7 @@ def _kernel(bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> tuple[float, f
             break
         A, B, C = A1, B1, C1
     else:
-        ratio = math.exp(-2.0 * math.pi * arg)
-        raise TruncationError(
-            f"hyperbolic series not converged after m_max={ctl.m_max} terms at beta_hat={b}",
-            partial_sum=A,
-            tail_estimate=ce / m**3 * ratio / (1.0 - ratio),
-            terms_used=ctl.m_max,
-        )
+        truncated = True
     u2 = u * u
     u3 = u2 * u
     power = ZETA3 * u3 - _PI3 * u3 * u / 45.0
@@ -193,11 +189,25 @@ def _kernel(bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> tuple[float, f
         f = ZETA3 * u - _PI3 / 45.0 + u * A + math.pi * B * u2
         s = ZETA3 + A + math.pi * B * u - 2.0 * _PI2 * C * u2
         w = _PI3 / 90.0 - _PI2 * C * u3
-        return f - power, f, s, w, m - 1
-    g = A * u3 + math.pi * B * u2
-    s = 3.0 * (ZETA3 + A) * u2 + 3.0 * math.pi * B * u + 2.0 * _PI2 * C - 4.0 * _PI3 * u3 / 45.0
-    w = (ZETA3 + A) * u3 + math.pi * B * u2 + _PI2 * C * u - _PI3 * u3 * u / 30.0
-    return g, g + power, s, w, m - 1
+        g = f - power
+    else:
+        g = A * u3 + math.pi * B * u2
+        s = 3.0 * (ZETA3 + A) * u2 + 3.0 * math.pi * B * u + 2.0 * _PI2 * C - 4.0 * _PI3 * u3 / 45.0
+        w = (ZETA3 + A) * u3 + math.pi * B * u2 + _PI2 * C * u - _PI3 * u3 * u / 30.0
+        f = g + power
+    if truncated:
+        # Each later term of A (of B) is at most e^(-2 pi arg) times the one
+        # before, so the last one times ratio/(1 - ratio) bounds the rest;
+        # g weighs A by u (inverted) or u^3 (direct) and B by pi u^2.
+        ratio = math.exp(-2.0 * math.pi * arg)
+        raise TruncationError(
+            f"hyperbolic series not converged after m_max={ctl.m_max} terms at beta_hat={b}",
+            partial_sum=g,
+            tail_estimate=((u if inverted else u3) * ce / m**3 + math.pi * u2 * se / m**2)
+            * ratio / (1.0 - ratio),
+            terms_used=ctl.m_max,
+        )
+    return g, f, s, w, m - 1
 
 
 def _thermal_parts(frame: ProperFrame, bh: BetaHat) -> tuple[float, float, float, int]:
@@ -260,7 +270,15 @@ def thermal_correction_exact(frame: ProperFrame, bh: BetaHat, ctl: SeriesControl
     low temperature.  Below bh = 1 it is the inverted bracket f with the
     quartic and cubic terms added back (see _kernel).
     """
-    return -frame.Sp / (32.0 * math.pi * frame.Lp**3) * _kernel(bh, ctl)[0]
+    scale = -frame.Sp / (32.0 * math.pi * frame.Lp**3)
+    try:
+        g = _kernel(bh, ctl)[0]
+    except TruncationError as exc:
+        # The kernel reports the partial bracket g and its tail bound.
+        exc.partial_sum *= scale
+        exc.tail_estimate *= abs(scale)
+        raise
+    return scale * g
 
 
 def blackbody_density(Tp: float) -> float:

@@ -171,6 +171,84 @@ class TestQuadrature:
         assert predicted / 4.0 <= info["n_used"] <= predicted * 4.0
 
 
+def t_variable_integral(n, b, cfg):
+    """Mode n's transverse integral in the transverse wave number t, as the
+    oracle took it before the substitution rho = sqrt(n^2 + t^2): the
+    integrand t ln(1 - e^(-2 pi b hypot(n, t))) on [0, t_cut], with a break
+    point where the exponent has grown by 32."""
+    two_pi_b = 2.0 * math.pi * b
+    r_cut = 700.0 / two_pi_b
+    t_cut = math.sqrt(r_cut * r_cut - n * n)
+
+    def integrand(ts):
+        out = []
+        for t in ts:
+            z = two_pi_b * math.hypot(n, t)
+            out.append(0.0 if z > 700.0 else t * math.log1p(-math.exp(-z)))
+        return out
+
+    rho = n + 32.0 / two_pi_b
+    points = (0.0, math.sqrt(rho * rho - n * n), t_cut) if rho < r_cut else (0.0, t_cut)
+    return oracles._adaptive_gk21(integrand, points, max(cfg.rel_tol, 1e-13), cfg.quad_points,
+                                  f"t-variable reference for n={n}")
+
+
+class TestModeSumSegments:
+    """The mode sum built from shared unit segments in rho."""
+
+    @pytest.mark.parametrize("b", oracles.STANDARD_BETA_HAT_GRID)
+    def test_mode_integrals_match_the_t_variable_quadrature(self, unit_frame_at, b):
+        cfg = OracleConfig()
+        modes = oracles._mode_integrals(b, cfg)
+        _, info = quadrature_free_energy(unit_frame_at(b), BetaHat(b), cfg, full_output=True)
+        assert len(modes) > info["n_used"] > 0
+        for n in range(1, info["n_used"] + 1):
+            reference = t_variable_integral(n, b, cfg)
+            assert abs(modes[n - 1] - reference) <= 1e-13 * abs(reference), n
+
+    @pytest.mark.parametrize("b", oracles.STANDARD_BETA_HAT_GRID)
+    def test_agrees_with_closed_form_to_rounding(self, unit_frame_at, b):
+        frame = unit_frame_at(b)
+        value = quadrature_free_energy(frame, BetaHat(b))
+        exact = thermal_correction_exact(frame, BetaHat(b))
+        assert abs(value - exact) <= 1e-14 * abs(exact)
+
+    def test_work_per_validation_and_modes_per_grid_point(self, monkeypatch, unit_frame_at):
+        """One default validation_checks() makes at most 220 Gauss-Kronrod
+        steps (538 when each mode was integrated on its own), and the mode
+        sum stops where its terms stop changing it."""
+        steps = []
+        gk21 = oracles._gk21
+
+        def counting(f, a, b):
+            steps.append((a, b))
+            return gk21(f, a, b)
+
+        monkeypatch.setattr(oracles, "_gk21", counting)
+        validation_checks()
+        assert len(steps) <= 220
+        n_used = {}
+        for b in oracles.STANDARD_BETA_HAT_GRID:
+            _, info = quadrature_free_energy(unit_frame_at(b), BetaHat(b), full_output=True)
+            n_used[b] = info["n_used"]
+        assert n_used == {0.1: 63, 0.5: 13, 1.0: 7, 2.0: 4, 5.0: 2}
+
+    @pytest.mark.parametrize("b", [700.0 / (2.0 * math.pi), 112.0, 1e6, 1e300])
+    def test_no_mode_below_the_cutoff_gives_positive_zero(self, b):
+        value, info = quadrature_free_energy(oracles._unit_flat_frame(1.0), BetaHat(b),
+                                             full_output=True)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert info["n_used"] == 0
+
+    @pytest.mark.parametrize("b, n_max", [(5e-324, 10**5), (1e-310, 10**5), (1e-200, 10**5),
+                                          (1e-20, 10), (1e-5, 10)])
+    def test_tiny_beta_hat_is_a_quadrature_error(self, b, n_max):
+        """Where e^(-2 pi b rho) rounds to 1, the cutoff 700/(2 pi b) overflows
+        or a mode integral overflows, the oracle still reports QuadratureError."""
+        with pytest.raises(QuadratureError):
+            quadrature_free_energy(oracles._unit_flat_frame(1.0), BetaHat(b), OracleConfig(n_max=n_max))
+
+
 class TestBlackbodyQuadrature:
     @pytest.mark.parametrize("Tp", [0.5, 1.0, 2.0])
     def test_matches_closed_form(self, Tp):
@@ -240,6 +318,23 @@ class TestValidationSuite:
         checks = validation_checks()
         failures = [c for c in checks if not c["passed"]]
         assert failures == []
+
+    def test_default_check_names_and_order(self):
+        """The 23 checks the benchmark's oracle workload expects, in order."""
+        assert [c["name"] for c in validation_checks()] == [
+            "resummation_pairwise_bh=0.1", "resummation_pairwise_bh=0.5",
+            "resummation_pairwise_bh=1", "resummation_pairwise_bh=2",
+            "resummation_pairwise_bh=5",
+            "hyperbolic_vs_single_sum_bh=0.05", "hyperbolic_vs_single_sum_bh=0.2",
+            "hyperbolic_vs_single_sum_bh=1", "hyperbolic_vs_single_sum_bh=5",
+            "hyperbolic_vs_single_sum_bh=20",
+            "blackbody_Tp=0.5", "blackbody_Tp=1", "blackbody_Tp=2",
+            "thermo_fd_bh=0.2", "legendre_identity_bh=0.2",
+            "thermo_fd_bh=0.4472", "legendre_identity_bh=0.4472",
+            "thermo_fd_bh=1", "legendre_identity_bh=1",
+            "thermo_fd_bh=2.236", "legendre_identity_bh=2.236",
+            "thermo_fd_bh=5", "legendre_identity_bh=5",
+        ]
 
     def test_loose_rel_tol_still_passes(self):
         """The check tolerances govern; the user's rel_tol does not degrade

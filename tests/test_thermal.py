@@ -356,6 +356,20 @@ class TestCasimirReport:
         assert err.partial_sum is not None
         assert err.tail_estimate > 0.0
 
+    @pytest.mark.parametrize("b, m_max", [(1.0, 3), (0.9, 1), (0.5, 1)])
+    def test_truncation_error_is_scaled_like_the_value(self, b, m_max):
+        """The partial sum is the value's bracket cut at m_max terms, with the
+        value's sign and a smaller magnitude; the tail bound covers the gap
+        (direct series at b = 1, inverted below)."""
+        frame = ProperFrame(C=1.0, Lp=2.0, Sp=3.0, Vp=6.0, Tp=0.25)
+        value = thermal_correction_exact(frame, BetaHat(b))
+        with pytest.raises(TruncationError) as excinfo:
+            thermal_correction_exact(frame, BetaHat(b), SeriesControl(m_max=m_max))
+        err = excinfo.value
+        assert math.copysign(1.0, err.partial_sum) == math.copysign(1.0, value)
+        assert abs(value) > abs(err.partial_sum) > abs(value) / 2.0
+        assert abs(value - err.partial_sum) <= err.tail_estimate <= 10.0 * abs(value - err.partial_sum)
+
     def test_series_control_validation(self):
         with pytest.raises(DomainError):
             SeriesControl(rel_tol=0.0)
