@@ -111,13 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
     # defaulted by the field itself.
     types = get_type_hints(OracleConfig)
     helps = {
-        "n_max": "most mode terms (n) of the double sum and the mode-sum quadrature",
-        "m_max": "most terms (m) of the double sum and the single sum",
+        "n_max": "most terms (n) per row of the double sum and most modes of the "
+                 "mode-sum quadrature",
+        "m_max": "most rows (m) of the double sum and terms of the single sum",
         "quad_points": "most subintervals per quadrature",
         "fd_step": "relative step of the finite differences in Tp",
-        "rel_tol": "relative accuracy of the mode-sum quadrature (floored at 1e-13) "
-                   "and stop of the double sum, each at most 1e-12; the mode and "
-                   "single sums stop where their terms stop changing them",
+        "rel_tol": "relative accuracy of the mode-sum quadrature, floored at 1e-13 "
+                   "and capped at 1e-12; the double, mode and single sums stop "
+                   "where their terms stop changing them",
     }
     for field in fields(OracleConfig):
         p_val.add_argument("--" + field.name.replace("_", "-"),

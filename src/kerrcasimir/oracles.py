@@ -5,11 +5,16 @@ Each function here reaches the same quantity as the closed forms in
 sum over mode and Matsubara-like indices, direct numerical quadrature of
 the mode-sum integral before any resummation, a momentum-space quadrature
 for the black-body density, and centered finite differences for the
-thermodynamic derivatives.  They are slow and simple on purpose, but the
-mode-sum quadrature shares its work exactly: in rho = sqrt(n^2 + t^2) every
-mode's transverse integral has the same integrand, so each unit segment in
-rho is integrated once for all modes, and the modes are summed until they
-stop changing the sum (see quadrature_free_energy).
+thermodynamic derivatives.  They are slow and simple on purpose, but each
+sum stops where its terms stop changing it and no integral is taken twice.
+The double sum is taken row by row: each row stops at its first term, and
+the rows at the first row, that leaves the sum unchanged (see
+double_sum_free_energy).  The mode-sum quadrature shares its work exactly:
+in rho = sqrt(n^2 + t^2) every mode's transverse integral has the same
+integrand, so each unit segment in rho is integrated once for all modes,
+and the modes are summed until they stop changing the sum (see
+quadrature_free_energy).  validation_checks takes the black-body integral,
+which does not depend on the temperature, once per call.
 
 Both quadratures use the adaptive 21-point Gauss-Kronrod rule defined here,
 a port of the rule ``scipy.integrate.quad`` runs (QUADPACK), so the package
@@ -72,11 +77,13 @@ _SUM_STOP = 2.0**-70
 class OracleConfig:
     """Cutoffs and steps for the brute-force evaluations.
 
-    rel_tol sets two things only: the mode-sum quadrature's relative
-    accuracy, max(rel_tol, 1e-13), and the double sum's stop, at a diagonal
-    shell at most rel_tol times its partial sum.  The mode sum stops where
-    its terms stop changing it and the single sum at 2^-70 of its running
-    sum, whatever rel_tol is; the black-body quadrature asks for 1e-10.
+    n_max caps the terms of each double-sum row and the modes of the
+    mode-sum quadrature; m_max caps the double-sum rows and the single-sum
+    terms.  rel_tol sets one thing only: the mode-sum quadrature's relative
+    accuracy, max(rel_tol, 1e-13).  The double sum and the mode sum stop
+    where their terms stop changing them and the single sum at 2^-70 of its
+    running sum, whatever rel_tol is; the black-body quadrature asks for
+    1e-10.
     """
 
     n_max: int = 10**5
@@ -209,13 +216,23 @@ def double_sum_free_energy(
 ) -> float:
     """Thermal correction as the raw double sum over (n, m).
 
-    -(Sp/(16 pi Lp^3 bh^3)) * sum_{n,m>=1} (1 + 2 pi m n bh) e^(-2 pi m n bh) / m^3
+    -(Sp/(16 pi Lp^3 bh^3)) * sum_{m>=1} row_m,
+        row_m = sum_{n>=1} (1 + z) e^(-z) / m^3,  z = 2 pi bh n m,
 
-    summed over diagonal shells n + m = const (all terms share one sign, so
-    ordering affects only rounding).  Truncation stops once a whole shell
-    falls below rel_tol times the partial sum; if the n_max/m_max window
-    clipped terms that could still matter at that tolerance, a
-    TruncationError carrying the partial sum is raised.
+    summed row by row, each row's terms before its one division by m^3.
+    Within a row the terms fall with n, so the row stops at its first term
+    that leaves it unchanged, or where z passes 700 and e^(-z) underflows.
+    Term by term, row_(m+1) <= e^(-2 pi bh) row_m: with d = 2 pi bh n <=
+    z/m, (1 + z + d)/(1 + z) e^(-d) (m/(m+1))^3 <= (m/(m+1))^2 e^(-d).
+    So the rows stop at the first one that leaves the total unchanged, and
+    no term or row left out changes a bit: the value equals the same rows
+    run until e^(-z) underflows.  cfg.rel_tol plays no part.  A row that
+    needs more than cfg.n_max terms, or a row past cfg.m_max that still
+    changes the total, raises TruncationError.  Its partial_sum is the
+    running total and its tail_estimate bounds the rest (the rest of the
+    row by its next term plus the integral beyond it, the later rows by the
+    geometric series in e^(-2 pi bh)), both scaled by the prefactor as the
+    value is.
     """
     b = bh.value
     if not (b > 0.0):
@@ -223,41 +240,45 @@ def double_sum_free_energy(
     if math.isinf(b):
         return 0.0
     two_pi_b = 2.0 * math.pi * b
-
-    def summand(n: int, m: int) -> float:
-        z = two_pi_b * n * m
-        if z > _EXP_CUTOFF:
-            return 0.0
-        return (1.0 + z) * math.exp(-z) / m**3
-
-    total = 0.0
-    largest_clipped = 0.0
-    shell = 0.0
-    converged = False
-    for s in range(2, cfg.n_max + cfg.m_max + 1):
-        m_lo = max(1, s - cfg.n_max)
-        m_hi = min(s - 1, cfg.m_max)
-        if m_lo > 1:
-            largest_clipped = max(largest_clipped, summand(s - m_lo + 1, m_lo - 1))
-        if m_hi < s - 1:
-            largest_clipped = max(largest_clipped, summand(s - m_hi - 1, m_hi + 1))
-        shell = 0.0
-        for m in range(m_lo, m_hi + 1):
-            shell += summand(s - m, m)
-        total += shell
-        if s > 2 and shell <= cfg.rel_tol * total:
-            converged = True
-            break
     prefactor = -frame.Sp / (16.0 * math.pi * frame.Lp**3 * b**3)
-    if not converged or largest_clipped > cfg.rel_tol * total:
-        raise TruncationError(
-            f"double sum not converged within n_max={cfg.n_max}, m_max={cfg.m_max} "
-            f"at beta_hat={b}",
-            partial_sum=prefactor * total,
-            tail_estimate=abs(prefactor) * max(shell, largest_clipped),
-            terms_used=cfg.n_max + cfg.m_max,
+    total = 0.0
+    terms = 0
+
+    def truncated(what: str, done: float, rest: float) -> TruncationError:
+        """The error for a cut row whose terms taken sum to ``done`` and whose
+        terms left out sum to at most ``rest``; the later rows add at most
+        q/(1 - q) times the whole row, q = e^(-2 pi bh)."""
+        q = math.exp(-two_pi_b)
+        return TruncationError(
+            f"double sum not converged: {what} at beta_hat={b}",
+            partial_sum=prefactor * (total + done),
+            tail_estimate=abs(prefactor) * (rest + q * done) / -math.expm1(-two_pi_b),
+            terms_used=terms,
         )
-    return prefactor * total
+
+    for m in range(1, cfg.m_max + 2):
+        c, m3 = two_pi_b * m, m**3
+        row = 0.0
+        for n in range(1, cfg.n_max + 2):
+            z = c * n
+            if z > _EXP_CUTOFF:
+                break
+            term = (1.0 + z) * math.exp(-z)
+            if row + term == row:
+                break
+            if n > cfg.n_max:
+                # The terms fall with n: the rest of the row is at most this
+                # term plus int_z^inf (1 + x) e^(-x) dx / c.
+                raise truncated(f"row m={m} needs more than n_max={cfg.n_max} terms",
+                                row / m3, (term + (2.0 + z) * math.exp(-z) / c) / m3)
+            row += term
+            terms += 1
+        row /= m3
+        if total + row == total:
+            return prefactor * total
+        if m > cfg.m_max:
+            raise truncated(f"more than m_max={cfg.m_max} rows needed", 0.0, row)
+        total += row
 
 
 def thermal_correction_resummed_form(
@@ -521,6 +542,11 @@ STANDARD_BETA_HAT_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 _REPRESENTATION_GRID = (0.05, 0.2, 1.0, 5.0, 20.0)
 
 
+# What an oracle raises when it cannot deliver; validation_checks reports
+# each as a failed check.
+_ORACLE_ERRORS = (TruncationError, QuadratureError, DomainError, FDStepError)
+
+
 def _rel_diff(x: float, y: float) -> float:
     scale = max(abs(x), abs(y))
     return abs(x - y) / scale if scale > 0.0 else 0.0
@@ -553,7 +579,7 @@ def validation_checks(cfg: OracleConfig = OracleConfig()) -> list[dict]:
                 "passed": bool(measured <= tolerance),
                 "detail": "",
             })
-        except (TruncationError, QuadratureError, DomainError, FDStepError) as exc:
+        except _ORACLE_ERRORS as exc:
             checks.append({
                 "name": name,
                 "measured": None,
@@ -590,9 +616,18 @@ def validation_checks(cfg: OracleConfig = OracleConfig()) -> list[dict]:
 
         add(f"hyperbolic_vs_single_sum_bh={b:g}", representation, 1e-12)
 
+    # The u-integral does not depend on Tp: integrate it once.  Each Tp here
+    # makes Tp^4 a power of two, so Tp^4 times the unit value is
+    # blackbody_quadrature(Tp, cfg) bit for bit.
+    try:
+        unit_blackbody = blackbody_quadrature(1.0, cfg)
+    except _ORACLE_ERRORS as exc:
+        unit_blackbody = exc
     for Tp in (0.5, 1.0, 2.0):
         def blackbody(Tp=Tp):
-            return _rel_diff(blackbody_quadrature(Tp, cfg), blackbody_density(Tp))
+            if isinstance(unit_blackbody, Exception):
+                raise unit_blackbody
+            return _rel_diff(Tp**4 * unit_blackbody, blackbody_density(Tp))
 
         add(f"blackbody_Tp={Tp:g}", blackbody, 1e-6)
 

@@ -1,5 +1,7 @@
-"""The pure parts of tools/bench_pairs.py: the gain rule, failure shares and run keys."""
+"""The pure parts of tools/bench_pairs.py: the gain rule, failure shares, run keys
+and the change-side label."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -128,3 +130,12 @@ def test_main_refuses_a_taken_key_before_any_run(tmp_path, monkeypatch, capsys):
     assert exc.value.code == 2
     assert "already holds workloads['cli_point']['seed=3']" in capsys.readouterr().err
     assert out.read_text() == '{"workloads": {"cli_point": {"seed=3": {"pairs": 1}}}}\n'
+
+
+def test_the_change_side_is_its_head_plus_the_hash_of_its_diff():
+    head = "3340264d6bce553a97c9b1c351318f7b48214e46"
+    assert bench_pairs.change_label(head, b"") == {"head": head, "diff_sha256": None}
+    diff = b"diff --git a/x b/x\n+\x00binary\n"
+    label = bench_pairs.change_label(head, diff)
+    assert label == {"head": head, "diff_sha256": hashlib.sha256(diff).hexdigest()}
+    assert bench_pairs.change_label(head, diff + b"+1\n")["diff_sha256"] != label["diff_sha256"]

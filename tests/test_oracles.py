@@ -76,6 +76,62 @@ class TestDoubleSum:
         assert excinfo.value.partial_sum is not None
 
 
+def double_sum_to_underflow(frame, b):
+    """double_sum_free_energy with every row run until e^(-z) underflows and
+    every row that has a term added, the reference for its stop rule."""
+    two_pi_b = 2.0 * math.pi * b
+    total = 0.0
+    m = 1
+    while two_pi_b * m <= 700.0:
+        c = two_pi_b * m
+        row = 0.0
+        n = 1
+        while c * n <= 700.0:
+            z = c * n
+            row += (1.0 + z) * math.exp(-z)
+            n += 1
+        total += row / m**3
+        m += 1
+    return -frame.Sp / (16.0 * math.pi * frame.Lp**3 * b**3) * total
+
+
+class TestDoubleSumRows:
+    """The double sum taken row by row, each row and the rows stopping where
+    their terms stop changing the sum."""
+
+    @pytest.mark.parametrize("b", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0])
+    def test_agrees_with_closed_form_to_rounding(self, unit_frame_at, b):
+        frame = unit_frame_at(b)
+        value = double_sum_free_energy(frame, BetaHat(b))
+        exact = thermal_correction_exact(frame, BetaHat(b))
+        assert abs(value - exact) <= 1e-15 * abs(exact)
+
+    def test_stop_rule_matches_the_rows_run_to_underflow_bit_for_bit(self, unit_frame_at):
+        bs = [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0] + [0.01 * 1e4 ** (i / 49) for i in range(50)]
+        for b in bs:
+            frame = unit_frame_at(b)
+            value = double_sum_free_energy(frame, BetaHat(b))
+            assert value.hex() == double_sum_to_underflow(frame, b).hex(), b
+
+    def test_rel_tol_plays_no_part(self, unit_frame_at):
+        for b in (0.1, 1.0):
+            frame = unit_frame_at(b)
+            loose = double_sum_free_energy(frame, BetaHat(b), OracleConfig(rel_tol=1e-2))
+            assert loose.hex() == double_sum_free_energy(frame, BetaHat(b)).hex()
+
+    @pytest.mark.parametrize("b", [0.5, 1.0])
+    @pytest.mark.parametrize("window", [{"m_max": 1}, {"m_max": 2}, {"n_max": 1}, {"n_max": 2}])
+    def test_truncation_error_is_scaled_like_the_value_and_bounds_the_rest(self, b, window):
+        frame = ProperFrame(C=1.0, Lp=2.0, Sp=3.0, Vp=6.0, Tp=0.25)
+        value = double_sum_free_energy(frame, BetaHat(b))
+        with pytest.raises(TruncationError) as excinfo:
+            double_sum_free_energy(frame, BetaHat(b), OracleConfig(**window))
+        err = excinfo.value
+        assert math.copysign(1.0, err.partial_sum) == math.copysign(1.0, value)
+        assert abs(err.partial_sum) < abs(value)
+        assert err.tail_estimate >= abs(value - err.partial_sum)
+
+
 def single_sum_to_underflow(frame, b):
     """thermal_correction_resummed_form with the sum run until e^(-2 pi m b)
     underflows, the reference for its stop rule."""
@@ -347,6 +403,47 @@ class TestValidationSuite:
         failed = [c for c in checks if not c["passed"]]
         assert failed, "expected the starved double sum to fail"
         assert any("TruncationError" in c["detail"] for c in failed)
+
+
+class TestValidationWork:
+    """What one default validation_checks() integrates."""
+
+    def test_gauss_kronrod_steps(self, monkeypatch):
+        """At most 160 steps (198 when the black-body integral was taken once per Tp)."""
+        steps = []
+        gk21 = oracles._gk21
+
+        def counting(f, a, b):
+            steps.append((a, b))
+            return gk21(f, a, b)
+
+        monkeypatch.setattr(oracles, "_gk21", counting)
+        validation_checks()
+        assert len(steps) <= 160
+
+    def test_blackbody_integral_taken_once_with_the_values_of_one_call_per_tp(self, monkeypatch):
+        per_tp = {Tp: oracles._rel_diff(blackbody_quadrature(Tp), blackbody_density(Tp))
+                  for Tp in (0.5, 1.0, 2.0)}
+        calls = []
+        quadrature = oracles.blackbody_quadrature
+
+        def counting(Tp, cfg=OracleConfig()):
+            calls.append(Tp)
+            return quadrature(Tp, cfg)
+
+        monkeypatch.setattr(oracles, "blackbody_quadrature", counting)
+        checks = {c["name"]: c for c in validation_checks()}
+        assert len(calls) == 1
+        for Tp, measured in per_tp.items():
+            assert checks[f"blackbody_Tp={Tp:g}"]["measured"].hex() == measured.hex()
+
+    def test_a_failed_blackbody_integral_fails_each_blackbody_check(self):
+        checks = [c for c in validation_checks(OracleConfig(quad_points=1))
+                  if c["name"].startswith("blackbody_Tp=")]
+        assert [c["name"] for c in checks] == ["blackbody_Tp=0.5", "blackbody_Tp=1", "blackbody_Tp=2"]
+        for c in checks:
+            assert not c["passed"] and c["measured"] is None
+            assert c["detail"].startswith("QuadratureError: black-body quadrature")
 
 
 class TestGaussKronrod:

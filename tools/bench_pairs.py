@@ -3,7 +3,10 @@
     python3 tools/bench_pairs.py PARENT_REV --workload W --pairs N --seed S --out BENCH_<n>.json
 
 The parent side is PARENT_REV, extracted with ``git archive`` into a
-temporary directory; the change side is this checkout's working tree.  Both
+temporary directory; the change side is this checkout's working tree,
+recorded as its HEAD commit plus the sha256 of ``git diff HEAD --binary``
+(None for a tree that matches HEAD; files git does not track are not in
+that diff).  Both
 trees are byte-compiled first, so that neither run pays for compiling (or
 for a stale ``__pycache__``) at import.  Pair i runs the parent first when i
 is even and the change first when it is odd.  Each side runs
@@ -18,9 +21,9 @@ parent's by more than the parent's quartile distance.  An end-to-end
 metric also gets ``worse_than_bound``: its change median is worse than the
 parent's by more than the metric's ``bound`` in BENCHMARK.json (a fraction
 of the parent's median); a per-layer metric, which has no bound, gets null.
-Each entry also holds ``failed_share``, per side the failed points over
-the attempted ones summed over its runs, and ``more_failures``: the
-change's share is the larger.  The results land in ``--out`` under
+Each entry also holds its ``change`` label, ``failed_share``, per side the
+failed points over the attempted ones summed over its runs, and
+``more_failures``: the change's share is the larger.  The results land in ``--out`` under
 ``workloads[W]["seed=S"]`` (with `` trace=1`` appended for a traced run);
 other entries already in that file are kept, so several workloads and
 seeds can share one file.  A run whose key the file already holds exits 2
@@ -30,6 +33,7 @@ before its first pair.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -101,6 +105,12 @@ def taken(doc: dict, workload: str, key: str) -> bool:
     return key in doc.get("workloads", {}).get(workload, {})
 
 
+def change_label(head_sha: str, diff: bytes) -> dict:
+    """How the change side is recorded: the HEAD commit and the sha256 of
+    ``git diff HEAD --binary`` (``diff``), None when the tree matches HEAD."""
+    return {"head": head_sha, "diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None}
+
+
 def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One bench/run.py run in ``tree``: its result line plus the machine line."""
     proc = subprocess.run(
@@ -141,14 +151,18 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    parent_sha = subprocess.run(["git", "rev-parse", args.parent_rev], cwd=ROOT, check=True,
-                                capture_output=True, text=True).stdout.strip()
+
+    def git(*cmd: str) -> bytes:
+        return subprocess.run(["git", *cmd], cwd=ROOT, check=True, capture_output=True).stdout
+
+    parent_sha = git("rev-parse", args.parent_rev).decode().strip()
+    change = change_label(git("rev-parse", "HEAD").decode().strip(),
+                          git("diff", "HEAD", "--binary"))
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
         parent_tree = Path(tmp)
-        archive = subprocess.run(["git", "archive", parent_sha], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=git("archive", parent_sha),
+                       check=True)
         trees = {"parent": parent_tree, "change": ROOT}
         for tree in trees.values():
             compile_tree(tree)
@@ -171,6 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     per_run = {name: {side: [r[name] for r in runs[side]] for side in runs}
                for name in ("attempted", "failed", "correct", "machine")}
     entry = {
+        "change": change,
         "pairs": args.pairs,
         "trace": args.trace,
         "seconds": spec["run_seconds"],
@@ -181,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["parent"] = parent_sha
-    doc["change"] = "working tree of the checkout holding tools/bench_pairs.py"
+    doc["change"] = change
     doc.setdefault("workloads", {}).setdefault(args.workload, {})[key] = entry
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for name, m in metrics.items():
