@@ -11,8 +11,8 @@ given to, required ones included (keys are the long flag names, with
 on/off flag reads 1/true/yes/on or 0/false/no/off in any case); explicit
 flags always win, and any other key or on/off value exits 2.  ``point`` and
 ``sweep`` take no series flags: the thermal series always stops where its
-terms stop changing the sums, so ``--rel-tol`` and ``--m-max`` belong to
-``validate`` alone.
+terms stop changing the sums, so ``--m-max`` belongs to ``validate``,
+whose flags are the ``OracleConfig`` fields.
 Both write their records with the serializer that ``--format`` names.
 ``sweep --axis Omega`` does not resolve ``--omega``, which the axis
 replaces at every point; any other sweep exits 2 when ``zamo`` or
@@ -116,9 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         "m_max": "most rows (m) of the double sum and terms of the single sum",
         "quad_points": "most subintervals per quadrature",
         "fd_step": "relative step of the finite differences in Tp",
-        "rel_tol": "relative accuracy of the mode-sum quadrature, floored at 1e-13 "
-                   "and capped at 1e-12; the double, mode and single sums stop "
-                   "where their terms stop changing them",
     }
     for field in fields(OracleConfig):
         p_val.add_argument("--" + field.name.replace("_", "-"),

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all kerrcasimir modules."""
+"""Exception hierarchy shared by all kerrcasimir modules, and their one integer check."""
+
+import operator
 
 __all__ = [
     "KerrCasimirError",
@@ -18,6 +20,18 @@ class KerrCasimirError(Exception):
 
 class DomainError(KerrCasimirError):
     """An input lies outside the mathematical domain of a formula."""
+
+
+def _checked_count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int (any type ``operator.index`` accepts), or a
+    DomainError naming ``name`` when it is not an integer or is below ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 class NakedSingularityError(DomainError):

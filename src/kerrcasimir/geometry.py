@@ -288,7 +288,7 @@ def proper_frame(
         Lp=cavity.L * sqrt_delta * C / r,
         Sp=(r / sqrt_delta) * cavity.S0,
         Vp=cavity.S0 * cavity.L * C,
-        Tp=T * C,
+        Tp=T * C + 0.0,  # +0.0, not -0.0, at T = -0.0
         v2=v2,
     )
     if not all(map(math.isfinite, (frame.Lp, frame.Sp, frame.Vp, frame.Tp))):

@@ -14,7 +14,8 @@ in rho = sqrt(n^2 + t^2) every mode's transverse integral has the same
 integrand, so each unit segment in rho is integrated once for all modes,
 and the modes are summed until they stop changing the sum (see
 quadrature_free_energy).  validation_checks takes the black-body integral,
-which does not depend on the temperature, once per call.
+which does not depend on the temperature, once per call.  No setting trades
+accuracy for speed.
 
 Both quadratures use the adaptive 21-point Gauss-Kronrod rule defined here,
 a port of the rule ``scipy.integrate.quad`` runs (QUADPACK), so the package
@@ -29,7 +30,7 @@ import operator
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import DomainError, FDStepError, QuadratureError, TruncationError
+from .errors import DomainError, FDStepError, QuadratureError, TruncationError, _checked_count
 from .geometry import (
     CavityGeometry,
     EquatorialOrbit,
@@ -72,34 +73,32 @@ _LN2 = math.log(2.0)
 # The single sum stops after a term at most this fraction of the running sum.
 _SUM_STOP = 2.0**-70
 
+# Relative accuracy of every integral of the mode-sum quadrature.
+_MODE_EPSREL = 1e-12
+
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Cutoffs and steps for the brute-force evaluations.
+    """Caps and the step of the brute-force evaluations.
 
     n_max caps the terms of each double-sum row and the modes of the
     mode-sum quadrature; m_max caps the double-sum rows and the single-sum
-    terms.  rel_tol sets one thing only: the mode-sum quadrature's relative
-    accuracy, max(rel_tol, 1e-13).  The double sum and the mode sum stop
-    where their terms stop changing them and the single sum at 2^-70 of its
-    running sum, whatever rel_tol is; the black-body quadrature asks for
-    1e-10.
+    terms; quad_points caps the subintervals of each quadrature.  A cap only
+    decides whether an oracle raises, since each sum stops where its terms
+    stop changing it.  fd_step is the relative step of the finite
+    differences.  The caps must be integers >= 1.
     """
 
     n_max: int = 10**5
     m_max: int = 10**5
     quad_points: int = 200
     fd_step: float = 1e-5
-    rel_tol: float = 1e-12
 
     def __post_init__(self):
         for name in ("n_max", "m_max", "quad_points"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1")
+            object.__setattr__(self, name, _checked_count(name, getattr(self, name)))
         if not (self.fd_step > 0.0):
             raise DomainError(f"fd_step must be > 0, got {self.fd_step}")
-        if not (self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be > 0, got {self.rel_tol}")
 
 
 # QUADPACK's 21-point Gauss-Kronrod pair (dqk21; Piessens, de Doncker-Kapenga,
@@ -226,13 +225,12 @@ def double_sum_free_energy(
     z/m, (1 + z + d)/(1 + z) e^(-d) (m/(m+1))^3 <= (m/(m+1))^2 e^(-d).
     So the rows stop at the first one that leaves the total unchanged, and
     no term or row left out changes a bit: the value equals the same rows
-    run until e^(-z) underflows.  cfg.rel_tol plays no part.  A row that
-    needs more than cfg.n_max terms, or a row past cfg.m_max that still
-    changes the total, raises TruncationError.  Its partial_sum is the
-    running total and its tail_estimate bounds the rest (the rest of the
-    row by its next term plus the integral beyond it, the later rows by the
-    geometric series in e^(-2 pi bh)), both scaled by the prefactor as the
-    value is.
+    run until e^(-z) underflows.  A row that needs more than cfg.n_max
+    terms, or a row past cfg.m_max that still changes the total, raises
+    TruncationError.  Its partial_sum is the running total and its
+    tail_estimate bounds the rest (the rest of the row by its next term
+    plus the integral beyond it, the later rows by the geometric series in
+    e^(-2 pi bh)), both scaled by the prefactor as the value is.
     """
     b = bh.value
     if not (b > 0.0):
@@ -367,7 +365,7 @@ def _transverse_integral(n: int, b: float, cfg: OracleConfig) -> tuple[float, fl
     rho = n + _SPLIT_DZ / c
     points = (n, rho, r_cut) if rho < r_cut else (n, r_cut)
     return _adaptive_gk21(
-        _mode_integrand(c), points, max(cfg.rel_tol, 1e-13), cfg.quad_points,
+        _mode_integrand(c), points, _MODE_EPSREL, cfg.quad_points,
         f"transverse quadrature for n={n} at beta_hat={b}",
     ), math.sqrt(r_cut * r_cut - n * n)
 
@@ -394,10 +392,9 @@ def _mode_integrals(b: float, cfg: OracleConfig) -> list[float]:
     if K < 1:
         return []
     integrand = _mode_integrand(c)
-    epsrel = max(cfg.rel_tol, 1e-13)
 
     def segment(k: int) -> float:
-        return _adaptive_gk21(integrand, (k, k + 1), epsrel, cfg.quad_points,
+        return _adaptive_gk21(integrand, (k, k + 1), _MODE_EPSREL, cfg.quad_points,
                               f"mode-sum segment [{k}, {k + 1}] at beta_hat={b}")
 
     segments = []
@@ -442,9 +439,9 @@ def quadrature_free_energy(
     _mode_sum_tail) lies below half an ulp of |I_1| <= |sum|, capped below
     R and at cfg.n_max + 1; J_K is integrated over [K, R] with a break point
     where the exponent has grown by 32.  Every integral uses the adaptive
-    21-point Gauss-Kronrod rule of this module, to relative accuracy
-    max(cfg.rel_tol, 1e-13) within cfg.quad_points subintervals; all
-    segments share one sign, so each J_n keeps that accuracy.  The n sum
+    21-point Gauss-Kronrod rule of this module, to relative accuracy 1e-12
+    within cfg.quad_points subintervals; all segments share one sign, so
+    each J_n keeps that accuracy.  The n sum
     stops at the first J_n that leaves the running sum unchanged, which
     happens by n = K: the modes left out change no bit of it.  With
     ``full_output`` a diagnostics dict with the number of n terms, the
@@ -560,14 +557,12 @@ def validation_checks(cfg: OracleConfig = OracleConfig()) -> list[dict]:
     """Run every oracle against its closed form; return one record per check.
 
     Each record has name, measured, tolerance, passed and detail fields.
-    Oracle failures (TruncationError, QuadratureError) are reported as
-    failed checks, never raised.  The comparison tolerances are fixed by
-    the checks themselves: a loosened cfg.rel_tol is not allowed to degrade
-    the oracle evaluations below what the checks require, while the
-    n_max/m_max windows and the finite-difference step are honored as given.
+    Oracle failures (TruncationError, QuadratureError, DomainError,
+    FDStepError) are reported as failed checks, never raised.  The
+    comparison tolerances are fixed by the checks themselves; the caps and
+    the finite-difference step of cfg are honored as given.
     """
     checks: list[dict] = []
-    cfg = replace(cfg, rel_tol=min(cfg.rel_tol, 1e-12))
 
     def add(name: str, fn, tolerance: float):
         try:

@@ -9,7 +9,8 @@ columns in order.  Failed points (forbidden orbit, inside horizon, naked
 singularity, non-finite or out-of-domain input, series truncation) keep
 their inputs and status and carry None in every result field; no
 exception escapes.  The default kernel never truncates, so no point is
-truncation_error today; the status is kept for a computed truncation bound.
+truncation_error today; the status is kept so that a series run past its
+term cap still yields a record.
 Both serializers write each column's declared type as a plain value (a
 float, None for a missing or non-finite number, int, bool or the status
 string), so NaN/Inf never appear and int or numpy inputs become floats.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, get_type_hints
 
-from .errors import DomainError, ForbiddenOrbitError, InsideHorizonError, TruncationError
+from .errors import DomainError, ForbiddenOrbitError, InsideHorizonError, TruncationError, _checked_count
 from .geometry import (
     CavityGeometry,
     EquatorialOrbit,
@@ -107,12 +108,7 @@ class SweepSpec:
         except ValueError:
             raise DomainError(f"sweep axis must be one of {[a.value for a in SweepAxis]}, "
                               f"got {self.axis!r}") from None
-        try:
-            object.__setattr__(self, "count", operator.index(self.count))
-        except TypeError:
-            raise DomainError(f"sweep count must be an integer, got {self.count!r}") from None
-        if self.count < 2:
-            raise DomainError(f"sweep count must be >= 2, got {self.count}")
+        object.__setattr__(self, "count", _checked_count("sweep count", self.count, 2))
         if not (math.isfinite(self.start) and math.isfinite(self.stop) and self.start < self.stop):
             raise DomainError(f"sweep needs finite start < stop, got [{self.start}, {self.stop}]")
         if self.scale not in ("linear", "log"):
@@ -195,7 +191,6 @@ class OutputRecord(NamedTuple):
     f_bb: Optional[float]
     beta_hat: Optional[float]
     terms_used: Optional[int]
-    truncation_estimate: Optional[float]
     alpha: Optional[float]
     L_over_r: Optional[float]
     ML_over_r2: Optional[float]

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, _checked_count
 from .geometry import EquatorialOrbit, KerrParams, ProperFrame
 
 __all__ = [
@@ -70,24 +70,20 @@ _PI3 = math.pi**3
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation policy for the thermal series.
+    """Term cap of the thermal series.
 
     The sums stop at the first term that changes none of them, so the
-    omitted terms change no bit and the achieved relative truncation is
-    below any admissible rel_tol, the guaranteed bound.  Exceeding m_max
-    terms raises TruncationError, which the default never does (at most 6
-    terms are needed).  Only thermal_correction_exact takes one; every
-    other quantity runs the default.
+    terms left out change no bit of any sum and no tolerance is needed.
+    Needing more than m_max terms raises TruncationError, which the default
+    never does (at most 6 terms are needed); a small m_max is the way to
+    make a sum raise.  Only thermal_correction_exact takes one; every other
+    quantity runs the default.
     """
 
-    rel_tol: float = 1e-12
     m_max: int = 10**6
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.m_max < 1:
-            raise DomainError(f"m_max must be >= 1, got {self.m_max}")
+        object.__setattr__(self, "m_max", _checked_count("m_max", self.m_max))
 
 
 class BetaHat(NamedTuple):
@@ -108,8 +104,8 @@ class CasimirReport(NamedTuple):
     satisfy.  terms_used counts the one series pass shared by F, S and U
     (direct for beta_hat >= 1, inverted below); it is 0 at zero temperature
     and for beta_hat below about 0.009, where e^(-2 pi/beta_hat) already
-    underflows.  truncation_estimate is 0.0 because every sum stops only
-    where the terms it omits change no bit of it; beta_hat is infinite on
+    underflows.  Every sum stops only where the terms it omits change no
+    bit of it, so no truncation bound is carried; beta_hat is infinite on
     the zero-temperature path.
     DeltaTF_ren, S_ren and U_ren - E0_ren depend on the comoving Lp, Sp and
     Tp only; E0_ren also reads the frame's v2 and carries the ZAMO's cavity
@@ -125,7 +121,6 @@ class CasimirReport(NamedTuple):
     f_bb: float
     beta_hat: float
     terms_used: int
-    truncation_estimate: float
 
 
 def _kernel(bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> tuple[float, float, float, float, int]:
@@ -357,5 +352,4 @@ def casimir_report(frame: ProperFrame, params: KerrParams, orbit: EquatorialOrbi
         f_bb=blackbody_density(frame.Tp),
         beta_hat=bh.value,
         terms_used=terms,
-        truncation_estimate=0.0,
     )

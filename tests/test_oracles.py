@@ -1,7 +1,7 @@
 """Brute-force oracles and the validation suite built on them."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -40,6 +40,27 @@ class TestOracleConfig:
             OracleConfig(n_max=0)
         with pytest.raises(DomainError):
             OracleConfig(fd_step=0.0)
+
+    @pytest.mark.parametrize("name", ["n_max", "m_max", "quad_points"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            OracleConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["n_max", "m_max", "quad_points"])
+    def test_counts_take_any_integer_type(self, name):
+        cfg = OracleConfig(**{name: np.int64(7)})
+        assert type(getattr(cfg, name)) is int and cfg == OracleConfig(**{name: 7})
+
+    def test_every_setting_does_work(self):
+        """Each OracleConfig field, at a value other than its default,
+        changes what validation_checks reports; a field that does nothing
+        fails here."""
+        non_default = {"n_max": 1, "m_max": 1, "quad_points": 1, "fd_step": 1e-3}
+        assert [field.name for field in fields(OracleConfig)] == list(non_default)
+        default = validation_checks()
+        for name, value in non_default.items():
+            assert validation_checks(OracleConfig(**{name: value})) != default, name
 
 
 class TestDoubleSum:
@@ -112,12 +133,6 @@ class TestDoubleSumRows:
             frame = unit_frame_at(b)
             value = double_sum_free_energy(frame, BetaHat(b))
             assert value.hex() == double_sum_to_underflow(frame, b).hex(), b
-
-    def test_rel_tol_plays_no_part(self, unit_frame_at):
-        for b in (0.1, 1.0):
-            frame = unit_frame_at(b)
-            loose = double_sum_free_energy(frame, BetaHat(b), OracleConfig(rel_tol=1e-2))
-            assert loose.hex() == double_sum_free_energy(frame, BetaHat(b)).hex()
 
     @pytest.mark.parametrize("b", [0.5, 1.0])
     @pytest.mark.parametrize("window", [{"m_max": 1}, {"m_max": 2}, {"n_max": 1}, {"n_max": 2}])
@@ -215,15 +230,15 @@ class TestQuadrature:
         assert remainder > 0.0
         assert estimate > 0.0
         # The bound holds for the exact terms; the quadrature reaches each of
-        # them only to its relative accuracy max(rel_tol, 1e-13).
-        assert remainder <= estimate * (1.0 + max(cfg.rel_tol, 1e-13))
+        # them only to its relative accuracy.
+        assert remainder <= estimate * (1.0 + oracles._MODE_EPSREL)
         assert estimate <= 10.0 * remainder
 
     @pytest.mark.parametrize("b", [0.2, 0.5, 1.0, 2.0])
     def test_mode_sum_truncation_index_scales_inversely(self, unit_frame_at, b):
         cfg = OracleConfig()
         _, info = quadrature_free_energy(unit_frame_at(b), BetaHat(b), cfg, full_output=True)
-        predicted = math.log(1.0 / cfg.rel_tol) / (2.0 * math.pi * b)
+        predicted = math.log(1.0 / oracles._MODE_EPSREL) / (2.0 * math.pi * b)
         assert predicted / 4.0 <= info["n_used"] <= predicted * 4.0
 
 
@@ -245,7 +260,7 @@ def t_variable_integral(n, b, cfg):
 
     rho = n + 32.0 / two_pi_b
     points = (0.0, math.sqrt(rho * rho - n * n), t_cut) if rho < r_cut else (0.0, t_cut)
-    return oracles._adaptive_gk21(integrand, points, max(cfg.rel_tol, 1e-13), cfg.quad_points,
+    return oracles._adaptive_gk21(integrand, points, oracles._MODE_EPSREL, cfg.quad_points,
                                   f"t-variable reference for n={n}")
 
 
@@ -391,12 +406,6 @@ class TestValidationSuite:
             "thermo_fd_bh=2.236", "legendre_identity_bh=2.236",
             "thermo_fd_bh=5", "legendre_identity_bh=5",
         ]
-
-    def test_loose_rel_tol_still_passes(self):
-        """The check tolerances govern; the user's rel_tol does not degrade
-        the comparisons."""
-        checks = validation_checks(OracleConfig(rel_tol=1e-2))
-        assert all(c["passed"] for c in checks)
 
     def test_tiny_m_max_surfaces_truncation_as_failed_check(self):
         checks = validation_checks(OracleConfig(m_max=1))

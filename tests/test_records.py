@@ -122,7 +122,8 @@ class TestSchema:
     def test_columns_are_the_record_fields(self):
         assert CSV_COLUMNS == OutputRecord._fields
         assert CSV_COLUMNS[:7] == INPUTS and CSV_COLUMNS[-1] == "status"
-        assert "rel_tol" not in CSV_COLUMNS and "m_max" not in CSV_COLUMNS
+        for dropped in ("rel_tol", "m_max", "truncation_estimate"):
+            assert dropped not in CSV_COLUMNS
 
     def test_records_are_immutable_with_attribute_access(self):
         rec = evaluate_point(kerr_request())
@@ -139,8 +140,8 @@ class TestSchema:
         assert CSV_COLUMNS[7:12] == tuple(name for name in frame_fields if name != "v2")
         # The squared speed relative to the ZAMO feeds E0 and is not written.
         assert [name for name in frame_fields if name not in CSV_COLUMNS] == ["v2"]
-        assert CSV_COLUMNS[12:21] == CasimirReport._fields
-        assert CSV_COLUMNS[21:25] == ValidityDiagnostics._fields
+        assert CSV_COLUMNS[12:20] == CasimirReport._fields
+        assert CSV_COLUMNS[20:24] == ValidityDiagnostics._fields
 
 
 def computed_values():
@@ -237,6 +238,22 @@ class TestNoNegativeZero:
         assert negative_zeros(rec) == []
         assert negative_zeros(json.loads(records_to_jsonl([rec])).values()) == []
         assert "-0" not in records_to_csv([rec]).splitlines()[1].split(",")
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_negative_zero_temperature(self, fmt, capsys):
+        """T = -0.0 is echoed as given, but the proper temperature is +0.0."""
+        assert main(["point", "--spin", "0.5", "--temperature", "-0", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "csv":
+            row = dict(zip(CSV_COLUMNS, out.splitlines()[1].split(",")))
+            assert row.pop("T") == "-0"
+            assert "-0" not in row.values() and row["Tp"] == "0"
+        else:
+            obj = json.loads(out)
+            assert math.copysign(1.0, obj.pop("T")) < 0
+            assert not any(isinstance(v, float) and math.copysign(1.0, v) < 0 and v == 0.0
+                           for v in obj.values())
+            assert obj["Tp"] == 0.0
 
 
 class TestFormatsAgree:
@@ -498,18 +515,24 @@ class TestNumpyScalarInputs:
 
 
 class TestSeriesFlagsRemoved:
-    @pytest.mark.parametrize("command", [["point"], ["sweep", "--axis", "T", "--start", "0.5",
-                                                      "--stop", "1.5", "--count", "3"]])
-    @pytest.mark.parametrize("flag", ["--rel-tol", "--m-max"])
+    @pytest.mark.parametrize("command, flag", [
+        *[(command, flag) for command in (["point"], ["sweep", "--axis", "T", "--start", "0.5",
+                                                       "--stop", "1.5", "--count", "3"])
+          for flag in ("--rel-tol", "--m-max")],
+        (["validate"], "--rel-tol"),
+    ])
     def test_flag_is_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(command + [flag, "10"])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["rel_tol", "m_max", "rel-tol"])
-    def test_config_key_is_unknown(self, tmp_path, capsys, key):
-        config = tmp_path / "point.cfg"
+    @pytest.mark.parametrize("command, key", [
+        *[("point", key) for key in ("rel_tol", "m_max", "rel-tol")],
+        ("validate", "rel_tol"),
+    ])
+    def test_config_key_is_unknown(self, tmp_path, capsys, command, key):
+        config = tmp_path / f"{command}.cfg"
         config.write_text(f"{key}=10\n")
-        assert main(["point", "--config", str(config)]) == 2
+        assert main([command, "--config", str(config)]) == 2
         assert "unknown config key" in capsys.readouterr().err

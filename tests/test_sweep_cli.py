@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from kerrcasimir import (
 from kerrcasimir import cli
 from kerrcasimir.cli import main
 from kerrcasimir.sweep import CSV_COLUMNS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def flat_request(T=0.0, L=1.0, S0=1.0):
@@ -595,9 +598,21 @@ class TestCli:
         stub = {"name": "stub", "measured": 0.0, "tolerance": 1.0, "passed": True, "detail": ""}
         monkeypatch.setattr(cli, "validation_checks", lambda cfg: seen.append(cfg) or [stub])
         assert main(["validate"]) == 0
-        assert main(["validate", "--m-max", "7", "--fd-step", "1e-4", "--rel-tol", "1e-3"]) == 0
-        assert seen == [OracleConfig(), OracleConfig(m_max=7, fd_step=1e-4, rel_tol=1e-3)]
+        assert main(["validate", "--m-max", "7", "--fd-step", "1e-4"]) == 0
+        assert seen == [OracleConfig(), OracleConfig(m_max=7, fd_step=1e-4)]
         assert type(seen[1].m_max) is int and type(seen[1].fd_step) is float
+
+    def test_readme_lists_the_validate_flags(self):
+        """README's list of validate flags is the options the parser gives it."""
+        lines = README.read_text(encoding="utf-8").splitlines()
+        start = lines.index("`validate` takes these flags:") + 2
+        listed = []
+        for line in lines[start:lines.index("", start)]:
+            if not line.startswith("  "):  # not a wrapped item
+                listed.append(line[line.index("`") + 1:line.index("`:")])
+        sub = cli.build_parser().subcommand_parsers["validate"]
+        assert listed == [option for action in sub._actions for option in action.option_strings
+                          if option.startswith("--") and option != "--help"]
 
     @pytest.mark.parametrize("command", [
         ["point"],

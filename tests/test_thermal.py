@@ -1,9 +1,10 @@
 """Renormalized thermal Casimir quantities: closed forms and their identities."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -334,7 +335,6 @@ class TestCasimirReport:
         assert report.U_ren == pytest.approx(report.F_ren + frame.Tp * report.S_ren, rel=1e-9)
         assert report.f_bb == blackbody_density(frame.Tp)
         assert report.terms_used > 0
-        assert report.truncation_estimate == 0.0
 
     def test_zero_temperature_path(self, flat_static):
         params, orbit, cavity = flat_static
@@ -372,9 +372,30 @@ class TestCasimirReport:
 
     def test_series_control_validation(self):
         with pytest.raises(DomainError):
-            SeriesControl(rel_tol=0.0)
-        with pytest.raises(DomainError):
             SeriesControl(m_max=0)
+
+    @pytest.mark.parametrize("m_max", [2.5, 3.0, "3", None])
+    def test_series_control_needs_an_integer_m_max(self, m_max):
+        with pytest.raises(DomainError, match="m_max must be an integer"):
+            SeriesControl(m_max=m_max)
+
+    def test_series_control_takes_any_integer_type(self):
+        ctl = SeriesControl(m_max=np.int64(3))
+        assert type(ctl.m_max) is int and ctl == SeriesControl(m_max=3)
+
+    def test_every_setting_does_work(self, unit_frame_at):
+        """Each SeriesControl field, at a value other than its default,
+        changes the result or raises; a field that does nothing fails here."""
+        non_default = {"m_max": 3}
+        assert [field.name for field in fields(SeriesControl)] == list(non_default)
+        frame = unit_frame_at(1.0)
+        default = thermal_correction_exact(frame, BetaHat(1.0))
+        for name, value in non_default.items():
+            try:
+                result = thermal_correction_exact(frame, BetaHat(1.0), SeriesControl(**{name: value}))
+            except TruncationError:
+                continue
+            assert result.hex() != default.hex(), name
 
 
 # beta_hat from deep high temperature to deep low temperature, with the
