@@ -11,7 +11,6 @@ accurate up to terms that vanish faster than any power.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -19,18 +18,12 @@ from .geometry import EquatorialOrbit, KerrParams, ProperFrame
 from .thermal import ZETA3, blackbody_density, vacuum_energy
 
 __all__ = [
-    "Regime",
     "AsymptoticReport",
     "high_T_expansion",
     "low_T_free_energy",
     "low_T_entropy",
     "low_T_internal_energy",
 ]
-
-
-class Regime(str, Enum):
-    LOW_T = "low_T"
-    HIGH_T = "high_T"
 
 
 class AsymptoticReport(NamedTuple):
@@ -42,7 +35,6 @@ class AsymptoticReport(NamedTuple):
 
     value: float
     leading_correction: float
-    regime: Regime
 
 
 def _exp_gap(Lp: float, Tp: float) -> float:
@@ -94,7 +86,7 @@ def low_T_free_energy(
         - frame.Vp * blackbody_density(Tp)
     )
     correction = -(frame.Sp / (2.0 * frame.Lp)) * Tp**2 * _exp_gap(frame.Lp, Tp)
-    return AsymptoticReport(value=value, leading_correction=correction, regime=Regime.LOW_T)
+    return AsymptoticReport(value=value, leading_correction=correction)
 
 
 def low_T_entropy(frame: ProperFrame, Tp: float) -> AsymptoticReport:
@@ -111,7 +103,7 @@ def low_T_entropy(frame: ProperFrame, Tp: float) -> AsymptoticReport:
         - 2.0 * math.pi**2 / 45.0 * frame.Vp * Tp**3
     )
     correction = math.pi * frame.Sp / (2.0 * frame.Lp**2) * _exp_gap(frame.Lp, Tp)
-    return AsymptoticReport(value=value, leading_correction=correction, regime=Regime.LOW_T)
+    return AsymptoticReport(value=value, leading_correction=correction)
 
 
 def low_T_internal_energy(
@@ -136,4 +128,4 @@ def low_T_internal_energy(
         - math.pi**2 * frame.Vp * Tp**4 / 30.0
     )
     correction = math.pi * frame.Sp * Tp / (2.0 * frame.Lp**2) * _exp_gap(frame.Lp, Tp)
-    return AsymptoticReport(value=value, leading_correction=correction, regime=Regime.LOW_T)
+    return AsymptoticReport(value=value, leading_correction=correction)

@@ -103,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--stop", type=float, required=True)
     p_sweep.add_argument("--count", type=int, default=11)
     p_sweep.add_argument("--scale", choices=("linear", "log"), default="linear")
-    p_sweep.add_argument("--parallelism", type=int, default=1,
-                         help="accepted for compatibility (>= 1); points run in grid order")
 
     p_val = sub.add_parser("validate", help="run the brute-force oracle suite")
     # One flag per OracleConfig field (n_max <-> --n-max), typed and
@@ -251,7 +249,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                           f"--radius {args.radius}: {exc}") from exc
     spec = SweepSpec(axis=axis, start=args.start, stop=args.stop, count=args.count,
                      scale=args.scale, base=base)
-    records = run_sweep(spec, parallelism=args.parallelism)
+    records = run_sweep(spec)
     _write(records, args)
     if not any(rec.status is PointStatus.OK for rec in records):
         print(f"kerrcasimir: none of the {len(records)} sweep points is ok", file=sys.stderr)

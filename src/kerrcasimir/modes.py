@@ -25,8 +25,8 @@ __all__ = [
 ]
 
 # Policy thresholds for the small-cavity guidance flag; not physics.
-DEFAULT_ALPHA_L_THRESHOLD = 0.01
-DEFAULT_L_OVER_R_THRESHOLD = 0.01
+ALPHA_L_THRESHOLD = 0.01
+L_OVER_R_THRESHOLD = 0.01
 
 
 @dataclass(frozen=True)
@@ -112,19 +112,17 @@ def cavity_validity(
     params: KerrParams,
     orbit: EquatorialOrbit,
     cavity: CavityGeometry,
-    alpha_L_threshold: float = DEFAULT_ALPHA_L_THRESHOLD,
-    L_over_r_threshold: float = DEFAULT_L_OVER_R_THRESHOLD,
 ) -> ValidityDiagnostics:
     """Quantify the small-cavity approximation at this orbit.
 
-    The guidance flag trips when |alpha|*L >= alpha_L_threshold or
-    L/r >= L_over_r_threshold (defaults 0.01 each).
+    The guidance flag trips when |alpha|*L >= ALPHA_L_THRESHOLD or
+    L/r >= L_OVER_R_THRESHOLD (0.01 each).
     """
     r = orbit.r
     alpha = (params.M - r) / (r * r)
     L_over_r = cavity.L / r
     ML_over_r2 = params.M * cavity.L / (r * r)
-    ok = bool(abs(alpha) * cavity.L < alpha_L_threshold and L_over_r < L_over_r_threshold)
+    ok = bool(abs(alpha) * cavity.L < ALPHA_L_THRESHOLD and L_over_r < L_OVER_R_THRESHOLD)
     return ValidityDiagnostics(
         alpha=alpha,
         L_over_r=L_over_r,

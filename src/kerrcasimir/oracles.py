@@ -86,7 +86,8 @@ class OracleConfig:
     terms; quad_points caps the subintervals of each quadrature.  A cap only
     decides whether an oracle raises, since each sum stops where its terms
     stop changing it.  fd_step is the relative step of the finite
-    differences.  The caps must be integers >= 1.
+    differences, a real number in (0, 1) so that Tp (1 - fd_step) > 0.
+    The caps must be integers >= 1.
     """
 
     n_max: int = 10**5
@@ -97,8 +98,12 @@ class OracleConfig:
     def __post_init__(self):
         for name in ("n_max", "m_max", "quad_points"):
             object.__setattr__(self, name, _checked_count(name, getattr(self, name)))
-        if not (self.fd_step > 0.0):
-            raise DomainError(f"fd_step must be > 0, got {self.fd_step}")
+        try:
+            in_range = 0.0 < self.fd_step < 1.0
+        except TypeError:  # a string or None
+            in_range = False
+        if not in_range:
+            raise DomainError(f"fd_step must be a real number in (0, 1), got {self.fd_step!r}")
 
 
 # QUADPACK's 21-point Gauss-Kronrod pair (dqk21; Piessens, de Doncker-Kapenga,
@@ -357,9 +362,9 @@ def _mode_integrand(c: float):
     return integrand
 
 
-def _transverse_integral(n: int, b: float, cfg: OracleConfig) -> tuple[float, float]:
-    """Transverse integral of mode n < 700/(2 pi b) and its cutoff t_cut,
-    taken in rho over [n, 700/(2 pi b)] as described in quadrature_free_energy."""
+def _transverse_integral(n: int, b: float, cfg: OracleConfig) -> float:
+    """Transverse integral of mode n < 700/(2 pi b), taken in rho over
+    [n, 700/(2 pi b)] as described in quadrature_free_energy."""
     c = 2.0 * math.pi * b
     r_cut = _EXP_CUTOFF / c  # radius where exp(-2 pi b rho) underflows
     rho = n + _SPLIT_DZ / c
@@ -367,7 +372,7 @@ def _transverse_integral(n: int, b: float, cfg: OracleConfig) -> tuple[float, fl
     return _adaptive_gk21(
         _mode_integrand(c), points, _MODE_EPSREL, cfg.quad_points,
         f"transverse quadrature for n={n} at beta_hat={b}",
-    ), math.sqrt(r_cut * r_cut - n * n)
+    )
 
 
 def _mode_sum_tail(n_used: int, b: float) -> float:
@@ -402,7 +407,7 @@ def _mode_integrals(b: float, cfg: OracleConfig) -> list[float]:
         segments.append(segment(1))
         half_ulp = 0.5 * math.ulp(segments[0])
         K = next((k for k in range(2, K) if _mode_sum_tail(k - 1, b) < half_ulp), K)
-    J = _transverse_integral(K, b, cfg)[0]
+    J = _transverse_integral(K, b, cfg)
     if not math.isfinite(J):  # R^2 overflows for b below about 1e-152
         raise QuadratureError(f"transverse quadrature for n={K} at beta_hat={b} is not finite")
     segments += [segment(k) for k in range(2, K)]

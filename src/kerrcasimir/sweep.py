@@ -255,13 +255,13 @@ def evaluate_point(req: PointRequest) -> OutputRecord:
 def run_sweep(spec: SweepSpec, parallelism: int = 1) -> list[OutputRecord]:
     """Evaluate the grid in order, returning records ordered by axis value.
 
-    Points are evaluated one after another in the calling thread.
-    ``parallelism`` is validated (>= 1) and kept for API compatibility, but
-    no worker pool is started: threads gained nothing over the GIL-bound
-    kernel, so the output is the same bytes for every value.
+    Points are evaluated one after another in the calling thread, so the
+    records are the same for every ``parallelism``.  The parameter starts
+    no worker and must be an integer >= 1 (DomainError otherwise); it stays
+    in second place under its name because callers pass it both ways, as
+    ``run_sweep(spec, 2)`` and ``run_sweep(spec, parallelism=8)``.
     """
-    if parallelism < 1:
-        raise DomainError(f"parallelism must be >= 1, got {parallelism}")
+    _checked_count("parallelism", parallelism)
     return [spec.evaluate_at(v) for v in spec.grid()]
 
 

@@ -11,9 +11,12 @@ from kerrcasimir import (
     EquatorialOrbit,
     KerrParams,
     ModeIndex,
+    PointRequest,
+    PointStatus,
     cavity_validity,
     corrected_eigenfrequency,
     eigenfrequency,
+    evaluate_point,
     orbit_from_band_fraction,
     proper_frame,
     velocity_normalization,
@@ -152,8 +155,20 @@ class TestCavityValidity:
         d = cavity_validity(KerrParams(M=1.0), EquatorialOrbit(r=10.0), CavityGeometry(L=1.0, S0=1.0))
         assert not d.small_cavity_ok
 
-    def test_thresholds_configurable(self):
-        params, orbit = KerrParams(M=1.0), EquatorialOrbit(r=10.0)
-        cavity = CavityGeometry(L=0.05, S0=1e-4)
-        assert not cavity_validity(params, orbit, cavity, L_over_r_threshold=0.001).small_cavity_ok
-        assert cavity_validity(params, orbit, cavity, L_over_r_threshold=0.1).small_cavity_ok
+    # One case on each side of 0.01 for each clause of the flag.  For r > M/2,
+    # |alpha| L < L/r, so the L/r clause trips first; only an over-spun source
+    # at r < M/2 trips the |alpha| L clause alone.
+    @pytest.mark.parametrize("a, r, L, ok", [
+        (0.5, 10.0, 0.095, True),   # L/r = 0.0095, |alpha| L = 0.0086
+        (0.5, 10.0, 0.105, False),  # L/r = 0.0105, |alpha| L = 0.0095
+        (2.0, 0.3, 0.001, True),    # |alpha| L = 0.0078, L/r = 0.0033
+        (2.0, 0.3, 0.002, False),   # |alpha| L = 0.0156, L/r = 0.0067
+    ])
+    def test_each_clause_trips_the_flag_at_its_threshold(self, a, r, L, ok):
+        params = KerrParams(M=1.0, a=a, black_hole_mode=False)
+        orbit = orbit_from_band_fraction(params, r, 0.0)
+        cavity = CavityGeometry(L=L, S0=1e-6)
+        d = cavity_validity(params, orbit, cavity)
+        assert d.small_cavity_ok is ok
+        record = evaluate_point(PointRequest(params, orbit, cavity))
+        assert record.status is PointStatus.OK and record.small_cavity_ok is ok

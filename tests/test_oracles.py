@@ -47,6 +47,11 @@ class TestOracleConfig:
         with pytest.raises(DomainError, match=f"{name} must be an integer"):
             OracleConfig(**{name: value})
 
+    @pytest.mark.parametrize("fd_step", [0.0, -1e-5, 1.0, 2.0, math.inf, math.nan, "1e-5", None])
+    def test_fd_step_must_be_a_real_number_in_the_unit_interval(self, fd_step):
+        with pytest.raises(DomainError, match="fd_step must be a real number in"):
+            OracleConfig(fd_step=fd_step)
+
     @pytest.mark.parametrize("name", ["n_max", "m_max", "quad_points"])
     def test_counts_take_any_integer_type(self, name):
         cfg = OracleConfig(**{name: np.int64(7)})
@@ -220,7 +225,7 @@ class TestQuadrature:
         remainder = 0.0
         n = info["n_used"] + 1
         while n < oracles._EXP_CUTOFF / (2.0 * math.pi * b):
-            term, _ = oracles._transverse_integral(n, b, cfg)
+            term = oracles._transverse_integral(n, b, cfg)
             remainder += term
             if abs(term) <= 1e-17 * abs(remainder):
                 break

@@ -520,6 +520,8 @@ class TestSeriesFlagsRemoved:
                                                        "--stop", "1.5", "--count", "3"])
           for flag in ("--rel-tol", "--m-max")],
         (["validate"], "--rel-tol"),
+        (["sweep", "--axis", "T", "--start", "0.5", "--stop", "1.5", "--count", "3"],
+         "--parallelism"),
     ])
     def test_flag_is_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -530,6 +532,7 @@ class TestSeriesFlagsRemoved:
     @pytest.mark.parametrize("command, key", [
         *[("point", key) for key in ("rel_tol", "m_max", "rel-tol")],
         ("validate", "rel_tol"),
+        ("sweep", "parallelism"),
     ])
     def test_config_key_is_unknown(self, tmp_path, capsys, command, key):
         config = tmp_path / f"{command}.cfg"
