@@ -70,9 +70,6 @@ _SPLIT_DZ = 32.0
 
 _LN2 = math.log(2.0)
 
-# The single sum stops after a term at most this fraction of the running sum.
-_SUM_STOP = 2.0**-70
-
 # Relative accuracy of every integral of the mode-sum quadrature.
 _MODE_EPSREL = 1e-12
 
@@ -298,15 +295,13 @@ def thermal_correction_resummed_form(
 
     The terms are positive and each is at most q = e^(-2 pi bh) times the
     one before: term m is (2 pi)^3 e^(-z) k(z), z = 2 pi m bh, and
-    k(z) = ((z + 1) - e^(-z))/((1 - e^(-z))^2 z^3) decreases.  The sum
-    stops after the first term t <= 2^-70 times the running sum, or once
-    z passes 700, where e^(-z) underflows.  The omitted tail is then at
-    most t q/(1 - q) <= 2^-70 q/(1 - q) of the sum, below 2^-64 of it for
-    bh >= 0.003 and so far below half an ulp (2^-53): math.fsum returns
-    the double of the sum run to underflow unless that sum lies within the
-    tail of a rounding boundary.  More than cfg.m_max terms raises
-    TruncationError carrying the partial sum and the last term, both
-    scaled by the prefactor as the value is.
+    k(z) = ((z + 1) - e^(-z))/((1 - e^(-z))^2 z^3) decreases.  So, like the
+    double-sum rows, the sum stops at its first term that leaves it
+    unchanged, or where z passes 700 and e^(-z) underflows, and the value
+    equals the sum run to underflow, bit for bit.  Needing more than
+    cfg.m_max terms raises TruncationError; its partial_sum is the running
+    sum and its tail_estimate bounds the rest by the last term added times
+    q/(1 - q), both scaled by the prefactor as the value is.
     """
     b = bh.value
     if not (b > 0.0):
@@ -314,27 +309,26 @@ def thermal_correction_resummed_form(
     if math.isinf(b):
         return 0.0
     prefactor = -frame.Sp / (16.0 * math.pi * frame.Lp**3)
-    terms: list[float] = []
-    running = 0.0
-    for m in range(1, cfg.m_max + 1):
+    total = last = 0.0
+    for m in range(1, cfg.m_max + 2):
         z = 2.0 * math.pi * m * b
         if z > _EXP_CUTOFF:
             break
         # [(z+1)e^z - 1]/(e^z - 1)^2 = ((z+1) - e^(-z)) e^(-z)/(1 - e^(-z))^2
         emz = math.exp(-z)
         term = ((z + 1.0) - emz) * emz / (1.0 - emz) ** 2 / (m * b) ** 3
-        terms.append(term)
-        running += term
-        if term <= _SUM_STOP * running:
+        if total + term == total:
             break
-    else:
-        raise TruncationError(
-            f"single sum not converged after m_max={cfg.m_max} terms at beta_hat={b}",
-            partial_sum=prefactor * math.fsum(terms),
-            tail_estimate=abs(prefactor) * terms[-1],
-            terms_used=cfg.m_max,
-        )
-    return prefactor * math.fsum(terms)
+        if m > cfg.m_max:
+            raise TruncationError(
+                f"single sum not converged after m_max={cfg.m_max} terms at beta_hat={b}",
+                partial_sum=prefactor * total,
+                tail_estimate=abs(prefactor) * last / math.expm1(2.0 * math.pi * b),
+                terms_used=cfg.m_max,
+            )
+        total += term
+        last = term
+    return prefactor * total
 
 
 def _mode_integrand(c: float):
@@ -418,12 +412,24 @@ def _mode_integrals(b: float, cfg: OracleConfig) -> list[float]:
     return modes[::-1]
 
 
-def quadrature_free_energy(
-    frame: ProperFrame,
-    bh: BetaHat,
-    cfg: OracleConfig = OracleConfig(),
-    full_output: bool = False,
-):
+def _mode_sum(b: float, cfg: OracleConfig) -> tuple[float, int]:
+    """(sum_n J_n, n_used): the modes of _mode_integrals summed until the
+    first one that leaves the sum unchanged, as in quadrature_free_energy."""
+    total = 0.0
+    n_used = 0
+    for J in _mode_integrals(b, cfg):
+        if total + J == total:
+            break
+        if n_used == cfg.n_max:
+            raise QuadratureError(
+                f"mode sum not converged within n_max={cfg.n_max} at beta_hat={b}"
+            )
+        total += J
+        n_used += 1
+    return total, n_used
+
+
+def quadrature_free_energy(frame: ProperFrame, bh: BetaHat, cfg: OracleConfig = OracleConfig()) -> float:
     """Thermal correction by direct quadrature of the mode-sum integral.
 
     Before any series expansion the correction is, per Dirichlet mode n, an
@@ -446,40 +452,18 @@ def quadrature_free_energy(
     where the exponent has grown by 32.  Every integral uses the adaptive
     21-point Gauss-Kronrod rule of this module, to relative accuracy 1e-12
     within cfg.quad_points subintervals; all segments share one sign, so
-    each J_n keeps that accuracy.  The n sum
-    stops at the first J_n that leaves the running sum unchanged, which
-    happens by n = K: the modes left out change no bit of it.  With
-    ``full_output`` a diagnostics dict with the number of n terms, the
-    transverse cutoff of the last one and an analytic bound on the n terms
-    left out is returned.  Raises QuadratureError when an integral needs
-    more subintervals, the top one is not finite, or the n sum needs more
-    than cfg.n_max terms.
+    each J_n keeps that accuracy.  The n sum (_mode_sum) stops at the first
+    J_n that leaves the running sum unchanged, which happens by n = K: the
+    modes left out change no bit of it.  Raises QuadratureError when an
+    integral needs more subintervals, the top one is not finite, or the n
+    sum needs more than cfg.n_max terms.
     """
     b = bh.value
     if not (b > 0.0):
         raise DomainError(f"beta_hat must be > 0, got {b}")
     if math.isinf(b):
-        result = 0.0
-        return (result, {"n_used": 0, "t_cutoff": 0.0, "tail_estimate": 0.0}) if full_output else result
-    total = 0.0
-    n_used = 0
-    for J in _mode_integrals(b, cfg):
-        if total + J == total:
-            break
-        if n_used == cfg.n_max:
-            raise QuadratureError(
-                f"mode sum not converged within n_max={cfg.n_max} at beta_hat={b}"
-            )
-        total += J
-        n_used += 1
-    prefactor = math.pi * frame.Sp / (4.0 * frame.Lp**3 * b)
-    result = prefactor * total
-    if full_output:
-        r_cut = _EXP_CUTOFF / (2.0 * math.pi * b)
-        t_cut = math.sqrt(r_cut * r_cut - n_used * n_used) if n_used else 0.0
-        tail = prefactor * _mode_sum_tail(n_used, b)
-        return result, {"n_used": n_used, "t_cutoff": t_cut, "tail_estimate": tail}
-    return result
+        return 0.0
+    return math.pi * frame.Sp / (4.0 * frame.Lp**3 * b) * _mode_sum(b, cfg)[0]
 
 
 def blackbody_quadrature(Tp: float, cfg: OracleConfig = OracleConfig()) -> float:

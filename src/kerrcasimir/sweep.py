@@ -6,11 +6,9 @@ point costs at most 6 series terms at any temperature, and the GIL
 serializes the pure-Python kernel, so sweeps run without a thread pool.
 A record is an ``OutputRecord`` named tuple whose fields are the CSV
 columns in order.  Failed points (forbidden orbit, inside horizon, naked
-singularity, non-finite or out-of-domain input, series truncation) keep
-their inputs and status and carry None in every result field; no
-exception escapes.  The default kernel never truncates, so no point is
-truncation_error today; the status is kept so that a series run past its
-term cap still yields a record.
+singularity, non-finite or out-of-domain input) keep their inputs and
+status and carry None in every result field; no exception escapes.  The
+series has no term cap, so no point fails for truncation.
 Both serializers write each column's declared type as a plain value (a
 float, None for a missing or non-finite number, int, bool or the status
 string), so NaN/Inf never appear and int or numpy inputs become floats.
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, get_type_hints
 
-from .errors import DomainError, ForbiddenOrbitError, InsideHorizonError, TruncationError, _checked_count
+from .errors import DomainError, ForbiddenOrbitError, InsideHorizonError, _checked_count
 from .geometry import (
     CavityGeometry,
     EquatorialOrbit,
@@ -65,7 +63,6 @@ class PointStatus(str, Enum):
     OK = "ok"
     FORBIDDEN_ORBIT = "forbidden_orbit"
     INSIDE_HORIZON = "inside_horizon"
-    TRUNCATION_ERROR = "truncation_error"
     INVALID_INPUT = "invalid_input"
 
 
@@ -219,11 +216,14 @@ def _failed(inputs: tuple, status: PointStatus) -> OutputRecord:
 def evaluate_point(req: PointRequest) -> OutputRecord:
     """Evaluate one configuration; never raises, failures become statuses.
 
-    Finite inputs whose results leave the float range (a power such as
-    Tp**4 overflowing, Lp**4 underflowing to zero, an infinite F, S or U,
-    or subnormal intermediates that break U = F + Tp*S beyond _IDENTITY_TOL)
-    are invalid_input, so an ok record always carries finite numbers that
-    satisfy the Legendre identity.
+    An orbit outside its band is forbidden_orbit, a radius at or inside the
+    horizon inside_horizon and any other domain error invalid_input; the
+    series has no term cap, so no point fails for truncation.  Finite
+    inputs whose results leave the float range (a power such as Tp**4
+    overflowing, Lp**4 underflowing to zero, an infinite F, S or U, or
+    subnormal intermediates that break U = F + Tp*S beyond _IDENTITY_TOL)
+    are invalid_input too, so an ok record always carries finite numbers
+    that satisfy the Legendre identity.
     """
     base = _inputs(req)
     try:
@@ -240,8 +240,6 @@ def evaluate_point(req: PointRequest) -> OutputRecord:
         return _failed(base, PointStatus.FORBIDDEN_ORBIT)
     except InsideHorizonError:
         return _failed(base, PointStatus.INSIDE_HORIZON)
-    except TruncationError:
-        return _failed(base, PointStatus.TRUNCATION_ERROR)
     except (DomainError, OverflowError, ZeroDivisionError):
         return _failed(base, PointStatus.INVALID_INPUT)
     finite = all(map(math.isfinite, (report.F_ren, report.S_ren, report.U_ren)))

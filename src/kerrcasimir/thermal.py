@@ -33,15 +33,14 @@ three unchanged, so a point needs at most 6 terms at any temperature.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, TruncationError, _checked_count
+from .errors import DomainError
 from .geometry import EquatorialOrbit, KerrParams, ProperFrame
 
 __all__ = [
-    "SeriesControl",
     "BetaHat",
     "CasimirReport",
     "ZETA3",
@@ -68,24 +67,6 @@ _PI2 = math.pi**2
 _PI3 = math.pi**3
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Term cap of the thermal series.
-
-    The sums stop at the first term that changes none of them, so the
-    terms left out change no bit of any sum and no tolerance is needed.
-    Needing more than m_max terms raises TruncationError, which the default
-    never does (at most 6 terms are needed); a small m_max is the way to
-    make a sum raise.  Only thermal_correction_exact takes one; every other
-    quantity runs the default.
-    """
-
-    m_max: int = 10**6
-
-    def __post_init__(self):
-        object.__setattr__(self, "m_max", _checked_count("m_max", self.m_max))
-
-
 class BetaHat(NamedTuple):
     """Dimensionless inverse proper temperature, 1/(2*Lp*Tp).
 
@@ -102,11 +83,12 @@ class CasimirReport(NamedTuple):
     F_ren = E0_ren + DeltaTF_ren holds by construction and
     U_ren = F_ren + Tp*S_ren is the Legendre identity the closed forms
     satisfy.  terms_used counts the one series pass shared by F, S and U
-    (direct for beta_hat >= 1, inverted below); it is 0 at zero temperature
-    and for beta_hat below about 0.009, where e^(-2 pi/beta_hat) already
-    underflows.  Every sum stops only where the terms it omits change no
-    bit of it, so no truncation bound is carried; beta_hat is infinite on
-    the zero-temperature path.
+    (direct for beta_hat >= 1, inverted below); it is at most 6, and 0 at
+    zero temperature and for beta_hat below about 0.009, where
+    e^(-2 pi/beta_hat) already underflows.  Every sum stops only where the
+    terms it omits change no bit of it, so the series has no term cap and
+    no truncation bound is carried; beta_hat is infinite on the
+    zero-temperature path.
     DeltaTF_ren, S_ren and U_ren - E0_ren depend on the comoving Lp, Sp and
     Tp only; E0_ren also reads the frame's v2 and carries the ZAMO's cavity
     volume (see vacuum_energy).
@@ -123,7 +105,7 @@ class CasimirReport(NamedTuple):
     terms_used: int
 
 
-def _kernel(bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> tuple[float, float, float, float, int]:
+def _kernel(bh: BetaHat) -> tuple[float, float, float, float, int]:
     """Brackets (g, f, s, w) of the thermal quantities from one series pass.
 
         thermal_correction_exact = -Sp g/(32 pi Lp^3),
@@ -136,9 +118,9 @@ def _kernel(bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> tuple[float, f
     shrink by at least e^(-2 pi).  The loop stops, without adding it, at the
     first term that leaves A, B and C all unchanged: the increments are
     positive and decreasing, so no later term could change a bit, and at
-    most 6 terms are added.  It also stops once pi m s passes 350, where
-    the terms underflow.  Hitting ctl.m_max first raises TruncationError
-    carrying the partial bracket g and a bound on the rest of g.  With
+    most 6 terms are added.  It also stops once pi m times the argument
+    passes 350, where the terms underflow; the argument is >= 1, so that
+    happens by m = 112 at the latest and the loop needs no cap.  With
     u = 1/beta_hat and f = g + zeta(3) u^3 - pi^3 u^4/45, direct:
 
         g = A u^3 + pi B u^2
@@ -160,8 +142,7 @@ def _kernel(bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> tuple[float, f
     inverted = b < 1.0
     arg = u if inverted else b
     A = B = C = 0.0
-    truncated = False
-    for m in range(1, ctl.m_max + 1):
+    for m in itertools.count(1):
         x = math.pi * m * arg
         if x > _X_CUTOFF:
             break
@@ -175,8 +156,6 @@ def _kernel(bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> tuple[float, f
         if A1 == A and B1 == B and C1 == C:
             break
         A, B, C = A1, B1, C1
-    else:
-        truncated = True
     u2 = u * u
     u3 = u2 * u
     power = ZETA3 * u3 - _PI3 * u3 * u / 45.0
@@ -190,23 +169,11 @@ def _kernel(bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> tuple[float, f
         s = 3.0 * (ZETA3 + A) * u2 + 3.0 * math.pi * B * u + 2.0 * _PI2 * C - 4.0 * _PI3 * u3 / 45.0
         w = (ZETA3 + A) * u3 + math.pi * B * u2 + _PI2 * C * u - _PI3 * u3 * u / 30.0
         f = g + power
-    if truncated:
-        # Each later term of A (of B) is at most e^(-2 pi arg) times the one
-        # before, so the last one times ratio/(1 - ratio) bounds the rest;
-        # g weighs A by u (inverted) or u^3 (direct) and B by pi u^2.
-        ratio = math.exp(-2.0 * math.pi * arg)
-        raise TruncationError(
-            f"hyperbolic series not converged after m_max={ctl.m_max} terms at beta_hat={b}",
-            partial_sum=g,
-            tail_estimate=((u if inverted else u3) * ce / m**3 + math.pi * u2 * se / m**2)
-            * ratio / (1.0 - ratio),
-            terms_used=ctl.m_max,
-        )
     return g, f, s, w, m - 1
 
 
 def _thermal_parts(frame: ProperFrame, bh: BetaHat) -> tuple[float, float, float, int]:
-    """DeltaTF_ren, S_ren, U_ren - E0_ren and the terms of one default series pass."""
+    """DeltaTF_ren, S_ren, U_ren - E0_ren and the terms of one series pass."""
     _, f, s, w, terms = _kernel(bh)
     scale = frame.Sp / (16.0 * math.pi * frame.Lp**2)
     # 0.0 - x is exactly -x, except that it gives +0.0 where -x is -0.0.
@@ -251,7 +218,7 @@ def beta_hat(frame: ProperFrame) -> BetaHat:
     return BetaHat(value=1.0 / denominator)
 
 
-def thermal_correction_exact(frame: ProperFrame, bh: BetaHat, ctl: SeriesControl = SeriesControl()) -> float:
+def thermal_correction_exact(frame: ProperFrame, bh: BetaHat) -> float:
     """Unrenormalized thermal correction to the cavity free energy.
 
     Exact resummed value
@@ -265,15 +232,7 @@ def thermal_correction_exact(frame: ProperFrame, bh: BetaHat, ctl: SeriesControl
     low temperature.  Below bh = 1 it is the inverted bracket f with the
     quartic and cubic terms added back (see _kernel).
     """
-    scale = -frame.Sp / (32.0 * math.pi * frame.Lp**3)
-    try:
-        g = _kernel(bh, ctl)[0]
-    except TruncationError as exc:
-        # The kernel reports the partial bracket g and its tail bound.
-        exc.partial_sum *= scale
-        exc.tail_estimate *= abs(scale)
-        raise
-    return scale * g
+    return -frame.Sp / (32.0 * math.pi * frame.Lp**3) * _kernel(bh)[0]
 
 
 def blackbody_density(Tp: float) -> float:

@@ -155,14 +155,14 @@ class TestDoubleSumRows:
 def single_sum_to_underflow(frame, b):
     """thermal_correction_resummed_form with the sum run until e^(-2 pi m b)
     underflows, the reference for its stop rule."""
-    terms = []
+    total = 0.0
     m = 1
     while 2.0 * math.pi * m * b <= 700.0:
         z = 2.0 * math.pi * m * b
         emz = math.exp(-z)
-        terms.append(((z + 1.0) - emz) * emz / (1.0 - emz) ** 2 / (m * b) ** 3)
+        total += ((z + 1.0) - emz) * emz / (1.0 - emz) ** 2 / (m * b) ** 3
         m += 1
-    return -frame.Sp / (16.0 * math.pi * frame.Lp**3) * math.fsum(terms)
+    return -frame.Sp / (16.0 * math.pi * frame.Lp**3) * total
 
 
 class TestSingleSum:
@@ -175,15 +175,34 @@ class TestSingleSum:
             value = thermal_correction_resummed_form(frame, BetaHat(b))
             assert value.hex() == single_sum_to_underflow(frame, b).hex(), b
 
-    def test_truncation_error_is_scaled_like_the_value(self):
+    @pytest.mark.parametrize("b, needed", [(1.0, 6), (0.5, 11), (0.05, 80), (0.003, 814)])
+    def test_m_max_caps_the_terms_the_value_needs(self, b, needed):
+        """m_max equal to the number of terms the stop rule adds gives the
+        uncapped value bit for bit; one fewer raises with that many terms."""
         frame = ProperFrame(C=1.0, Lp=2.0, Sp=3.0, Vp=6.0, Tp=0.25)
-        value = thermal_correction_resummed_form(frame, BetaHat(1.0))
+        value = thermal_correction_resummed_form(frame, BetaHat(b))
+        capped = thermal_correction_resummed_form(frame, BetaHat(b), OracleConfig(m_max=needed))
+        assert capped.hex() == value.hex()
         with pytest.raises(TruncationError) as excinfo:
-            thermal_correction_resummed_form(frame, BetaHat(1.0), OracleConfig(m_max=1))
+            thermal_correction_resummed_form(frame, BetaHat(b), OracleConfig(m_max=needed - 1))
+        assert excinfo.value.terms_used == needed - 1
+
+    @pytest.mark.parametrize("b, m_max", [(1.0, 1), (0.05, 10), (0.003, 100)])
+    def test_truncation_error_is_scaled_like_the_value(self, b, m_max):
+        """The partial sum has the value's sign and a smaller magnitude, and
+        the tail bound covers the rest (the last term alone falls 1.5x short
+        at b = 0.05 and 24x at b = 0.003)."""
+        frame = ProperFrame(C=1.0, Lp=2.0, Sp=3.0, Vp=6.0, Tp=0.25)
+        value = thermal_correction_resummed_form(frame, BetaHat(b))
+        with pytest.raises(TruncationError) as excinfo:
+            thermal_correction_resummed_form(frame, BetaHat(b), OracleConfig(m_max=m_max))
         err = excinfo.value
         assert math.copysign(1.0, err.partial_sum) == math.copysign(1.0, value)
-        assert abs(value) > abs(err.partial_sum) > abs(value) / 2.0
-        assert 0.0 < err.tail_estimate <= abs(err.partial_sum)
+        assert abs(err.partial_sum) < abs(value)
+        assert err.tail_estimate >= abs(value - err.partial_sum)
+        if b == 1.0:
+            assert abs(err.partial_sum) > abs(value) / 2.0
+            assert 0.0 < err.tail_estimate <= abs(err.partial_sum)
 
 
 class TestZeroTemperature:
@@ -192,12 +211,6 @@ class TestZeroTemperature:
     def test_oracles_return_positive_zero(self, oracle):
         value = oracle(oracles._unit_flat_frame(1.0), BetaHat(math.inf))
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
-
-    def test_quadrature_diagnostics_keep_their_shape(self):
-        value, info = quadrature_free_energy(oracles._unit_flat_frame(1.0), BetaHat(math.inf),
-                                             full_output=True)
-        assert math.copysign(1.0, value) == 1.0
-        assert info == {"n_used": 0, "t_cutoff": 0.0, "tail_estimate": 0.0}
 
 
 class TestQuadrature:
@@ -210,28 +223,30 @@ class TestQuadrature:
 
     def test_tail_beyond_cutoff_is_negligible(self, unit_frame_at):
         frame = unit_frame_at(1.0)
-        value, info = quadrature_free_energy(frame, BetaHat(1.0), full_output=True)
-        assert info["tail_estimate"] <= 1e-12 * abs(value)
-        assert info["t_cutoff"] > 0.0
+        value = quadrature_free_energy(frame, BetaHat(1.0))
+        _, n_used = oracles._mode_sum(1.0, OracleConfig())
+        prefactor = math.pi * frame.Sp / (4.0 * frame.Lp**3)
+        assert prefactor * oracles._mode_sum_tail(n_used, 1.0) <= 1e-12 * abs(value)
 
     @pytest.mark.parametrize("b", [0.1, 1.0, 5.0])
     def test_tail_estimate_bounds_the_terms_left_out(self, unit_frame_at, b):
         """The n terms after the stopping rule, summed with the same transverse
-        quadrature until they stop changing the sum, lie below tail_estimate,
-        and tail_estimate is at most 10x their sum."""
+        quadrature until they stop changing the sum, lie below the scaled
+        _mode_sum_tail bound, and the bound is at most 10x their sum."""
         cfg = OracleConfig()
         frame = unit_frame_at(b)
-        _, info = quadrature_free_energy(frame, BetaHat(b), cfg, full_output=True)
+        _, n_used = oracles._mode_sum(b, cfg)
+        prefactor = math.pi * frame.Sp / (4.0 * frame.Lp**3 * b)
         remainder = 0.0
-        n = info["n_used"] + 1
+        n = n_used + 1
         while n < oracles._EXP_CUTOFF / (2.0 * math.pi * b):
             term = oracles._transverse_integral(n, b, cfg)
             remainder += term
             if abs(term) <= 1e-17 * abs(remainder):
                 break
             n += 1
-        remainder = abs(math.pi * frame.Sp / (4.0 * frame.Lp**3 * b) * remainder)
-        estimate = info["tail_estimate"]
+        remainder = abs(prefactor * remainder)
+        estimate = prefactor * oracles._mode_sum_tail(n_used, b)
         assert remainder > 0.0
         assert estimate > 0.0
         # The bound holds for the exact terms; the quadrature reaches each of
@@ -240,11 +255,10 @@ class TestQuadrature:
         assert estimate <= 10.0 * remainder
 
     @pytest.mark.parametrize("b", [0.2, 0.5, 1.0, 2.0])
-    def test_mode_sum_truncation_index_scales_inversely(self, unit_frame_at, b):
-        cfg = OracleConfig()
-        _, info = quadrature_free_energy(unit_frame_at(b), BetaHat(b), cfg, full_output=True)
+    def test_mode_sum_truncation_index_scales_inversely(self, b):
+        _, n_used = oracles._mode_sum(b, OracleConfig())
         predicted = math.log(1.0 / oracles._MODE_EPSREL) / (2.0 * math.pi * b)
-        assert predicted / 4.0 <= info["n_used"] <= predicted * 4.0
+        assert predicted / 4.0 <= n_used <= predicted * 4.0
 
 
 def t_variable_integral(n, b, cfg):
@@ -273,12 +287,12 @@ class TestModeSumSegments:
     """The mode sum built from shared unit segments in rho."""
 
     @pytest.mark.parametrize("b", oracles.STANDARD_BETA_HAT_GRID)
-    def test_mode_integrals_match_the_t_variable_quadrature(self, unit_frame_at, b):
+    def test_mode_integrals_match_the_t_variable_quadrature(self, b):
         cfg = OracleConfig()
         modes = oracles._mode_integrals(b, cfg)
-        _, info = quadrature_free_energy(unit_frame_at(b), BetaHat(b), cfg, full_output=True)
-        assert len(modes) > info["n_used"] > 0
-        for n in range(1, info["n_used"] + 1):
+        _, n_used = oracles._mode_sum(b, cfg)
+        assert len(modes) > n_used > 0
+        for n in range(1, n_used + 1):
             reference = t_variable_integral(n, b, cfg)
             assert abs(modes[n - 1] - reference) <= 1e-13 * abs(reference), n
 
@@ -289,7 +303,7 @@ class TestModeSumSegments:
         exact = thermal_correction_exact(frame, BetaHat(b))
         assert abs(value - exact) <= 1e-14 * abs(exact)
 
-    def test_work_per_validation_and_modes_per_grid_point(self, monkeypatch, unit_frame_at):
+    def test_work_per_validation_and_modes_per_grid_point(self, monkeypatch):
         """One default validation_checks() makes at most 220 Gauss-Kronrod
         steps (538 when each mode was integrated on its own), and the mode
         sum stops where its terms stop changing it."""
@@ -303,18 +317,14 @@ class TestModeSumSegments:
         monkeypatch.setattr(oracles, "_gk21", counting)
         validation_checks()
         assert len(steps) <= 220
-        n_used = {}
-        for b in oracles.STANDARD_BETA_HAT_GRID:
-            _, info = quadrature_free_energy(unit_frame_at(b), BetaHat(b), full_output=True)
-            n_used[b] = info["n_used"]
+        n_used = {b: oracles._mode_sum(b, OracleConfig())[1] for b in oracles.STANDARD_BETA_HAT_GRID}
         assert n_used == {0.1: 63, 0.5: 13, 1.0: 7, 2.0: 4, 5.0: 2}
 
     @pytest.mark.parametrize("b", [700.0 / (2.0 * math.pi), 112.0, 1e6, 1e300])
     def test_no_mode_below_the_cutoff_gives_positive_zero(self, b):
-        value, info = quadrature_free_energy(oracles._unit_flat_frame(1.0), BetaHat(b),
-                                             full_output=True)
+        value = quadrature_free_energy(oracles._unit_flat_frame(1.0), BetaHat(b))
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
-        assert info["n_used"] == 0
+        assert oracles._mode_sum(b, OracleConfig()) == (0.0, 0)
 
     @pytest.mark.parametrize("b, n_max", [(5e-324, 10**5), (1e-310, 10**5), (1e-200, 10**5),
                                           (1e-20, 10), (1e-5, 10)])

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -28,7 +29,6 @@ from kerrcasimir import (
     ProperFrame,
     SweepAxis,
     SweepSpec,
-    TruncationError,
     ValidityDiagnostics,
     beta_hat,
     casimir_report,
@@ -43,6 +43,7 @@ from kerrcasimir import (
     records_to_jsonl,
     run_sweep,
 )
+import kerrcasimir
 from kerrcasimir import sweep
 from kerrcasimir.cli import main
 from kerrcasimir.sweep import CSV_COLUMNS
@@ -113,11 +114,6 @@ def assert_formats_agree(records):
                 assert float(cell) == value
 
 
-def result_fields(rec):
-    return {name: value for name, value in rec._asdict().items()
-            if name not in INPUTS and name != "status"}
-
-
 class TestSchema:
     def test_columns_are_the_record_fields(self):
         assert CSV_COLUMNS == OutputRecord._fields
@@ -133,6 +129,14 @@ class TestSchema:
 
     def test_readme_documents_the_csv_header(self):
         assert ",".join(CSV_COLUMNS) in README.read_text(encoding="utf-8")
+
+    def test_readme_counts_the_names_and_lists_the_failed_statuses(self):
+        """README's count of public names is the package's, and its list of
+        failed statuses is every status but ok, in order."""
+        text = " ".join(README.read_text(encoding="utf-8").split())
+        assert re.findall(r"(\d+) names\.", text) == [str(len(kerrcasimir.__all__))]
+        listed = re.search(r"a status of ((?:`\w+`(?:, | or ))+`\w+`)", text).group(1)
+        assert re.findall(r"`(\w+)`", listed) == [s.value for s in PointStatus if s is not PointStatus.OK]
 
     def test_frame_report_and_diagnostics_are_record_columns_in_order(self):
         """evaluate_point lays these values end to end into the record."""
@@ -183,22 +187,6 @@ class TestFailedRecords:
             results = {name: value for name, value in rec._asdict().items()
                        if name not in INPUTS and name != "status"}
             assert results and all(value is None for value in results.values())
-
-    def test_truncation_error_becomes_a_record(self, monkeypatch):
-        def truncated(*args):
-            raise TruncationError("not converged", partial_sum=1.0, tail_estimate=0.5, terms_used=3)
-
-        monkeypatch.setattr(sweep, "casimir_report", truncated)
-        req = kerr_request()
-        rec = evaluate_point(req)
-        assert rec.status is PointStatus.TRUNCATION_ERROR
-        assert rec[:7] == (req.params.M, req.params.a, req.orbit.r, req.orbit.Omega,
-                           req.cavity.L, req.cavity.S0, req.T)
-        assert all(value is None for value in result_fields(rec).values())
-        row = records_to_csv([rec]).splitlines()[1].split(",")
-        assert row[-1] == "truncation_error" and row[7:-1] == [""] * (len(CSV_COLUMNS) - 8)
-        assert json.loads(records_to_jsonl([rec]))["status"] == "truncation_error"
-        assert_formats_agree([rec])
 
 
 class TestNothingNonFiniteIsSerialized:
@@ -278,7 +266,7 @@ class TestFormatsAgree:
             SweepSpec(axis=SweepAxis.A, start=0.0, stop=1.5, count=16, base=base),
         ]
         records = [rec for spec in specs for rec in run_sweep(spec)]
-        assert {rec.status for rec in records} == set(PointStatus) - {PointStatus.TRUNCATION_ERROR}
+        assert {rec.status for rec in records} == set(PointStatus)
         assert_formats_agree(records)
 
     def test_no_records(self):

@@ -1,10 +1,9 @@
 """Renormalized thermal Casimir quantities: closed forms and their identities."""
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +17,6 @@ from kerrcasimir import (
     PointRequest,
     PointStatus,
     ProperFrame,
-    SeriesControl,
-    TruncationError,
     ZETA3,
     beta_hat,
     blackbody_density,
@@ -347,60 +344,15 @@ class TestCasimirReport:
         assert math.isinf(report.beta_hat)
         assert report.terms_used == 0
 
-    def test_truncation_error_carries_partial_sum(self, unit_frame_at):
-        frame = unit_frame_at(1.0)
-        with pytest.raises(TruncationError) as excinfo:
-            thermal_correction_exact(frame, BetaHat(1.0), SeriesControl(m_max=3))
-        err = excinfo.value
-        assert err.terms_used == 3
-        assert err.partial_sum is not None
-        assert err.tail_estimate > 0.0
-
-    @pytest.mark.parametrize("b, m_max", [(1.0, 3), (0.9, 1), (0.5, 1)])
-    def test_truncation_error_is_scaled_like_the_value(self, b, m_max):
-        """The partial sum is the value's bracket cut at m_max terms, with the
-        value's sign and a smaller magnitude; the tail bound covers the gap
-        (direct series at b = 1, inverted below)."""
-        frame = ProperFrame(C=1.0, Lp=2.0, Sp=3.0, Vp=6.0, Tp=0.25)
-        value = thermal_correction_exact(frame, BetaHat(b))
-        with pytest.raises(TruncationError) as excinfo:
-            thermal_correction_exact(frame, BetaHat(b), SeriesControl(m_max=m_max))
-        err = excinfo.value
-        assert math.copysign(1.0, err.partial_sum) == math.copysign(1.0, value)
-        assert abs(value) > abs(err.partial_sum) > abs(value) / 2.0
-        assert abs(value - err.partial_sum) <= err.tail_estimate <= 10.0 * abs(value - err.partial_sum)
-
-    def test_series_control_validation(self):
-        with pytest.raises(DomainError):
-            SeriesControl(m_max=0)
-
-    @pytest.mark.parametrize("m_max", [2.5, 3.0, "3", None])
-    def test_series_control_needs_an_integer_m_max(self, m_max):
-        with pytest.raises(DomainError, match="m_max must be an integer"):
-            SeriesControl(m_max=m_max)
-
-    def test_series_control_takes_any_integer_type(self):
-        ctl = SeriesControl(m_max=np.int64(3))
-        assert type(ctl.m_max) is int and ctl == SeriesControl(m_max=3)
-
-    def test_every_setting_does_work(self, unit_frame_at):
-        """Each SeriesControl field, at a value other than its default,
-        changes the result or raises; a field that does nothing fails here."""
-        non_default = {"m_max": 3}
-        assert [field.name for field in fields(SeriesControl)] == list(non_default)
-        frame = unit_frame_at(1.0)
-        default = thermal_correction_exact(frame, BetaHat(1.0))
-        for name, value in non_default.items():
-            try:
-                result = thermal_correction_exact(frame, BetaHat(1.0), SeriesControl(**{name: value}))
-            except TruncationError:
-                continue
-            assert result.hex() != default.hex(), name
-
 
 # beta_hat from deep high temperature to deep low temperature, with the
 # switch between the inverted (< 1) and direct (>= 1) series at 1.
 KERNEL_GRID = (1e-8, 1e-5, 1e-3, 0.01, 0.1, 0.5, 0.999, 1.0, 2.0, 10.0, 100.0, 1e4, 1e8)
+
+# 65 beta_hat, four per decade from 1e-8 to 1e8, and the worst case of the
+# kernel's term count (6 terms) found on 4,001 log-spaced points from 1e-16
+# to 1e16.
+LOG_GRID = [10.0 ** (-8.0 + 0.25 * i) for i in range(65)] + [0.8953647655495938]
 
 
 def mp_reference(Lp, Sp, E0, b):
@@ -494,12 +446,11 @@ class TestOnePassKernel:
                 assert abs(x - y) <= 1e-14 * max(abs(x), floor)
 
     def test_legendre_identity_and_bounded_terms_at_every_temperature(self, kerr_zamo):
-        for i in range(65):
-            b = 10.0 ** (-8.0 + 0.25 * i)
+        for b in LOG_GRID:
             frame, report = kerr_report_at(kerr_zamo, b)
             F, S, U = report.F_ren, report.S_ren, report.U_ren
             assert abs(U - (F + frame.Tp * S)) <= 1e-12 * max(abs(U), abs(F))
-            assert report.terms_used <= 111
+            assert report.terms_used <= 6
             if b < 0.0089:  # e^(-2 pi / b) underflows before the first term
                 assert report.terms_used == 0
 
@@ -507,11 +458,20 @@ class TestOnePassKernel:
     def test_stop_rule_matches_the_sums_run_to_underflow_bit_for_bit(self, grid):
         """The loop stops at the first term that changes none of A, B and C;
         the terms it omits would not have changed a bit."""
-        bs = [10.0 ** (-8.0 + 0.25 * i) for i in range(65)] if grid == "65-point" else KERNEL_GRID
-        for b in bs:
+        for b in LOG_GRID if grid == "65-point" else KERNEL_GRID:
             *brackets, terms = thermal._kernel(BetaHat(b))
             assert list(map(float.hex, brackets)) == list(map(float.hex, kernel_to_underflow(b))), b
-            assert terms <= 8
+            assert terms <= 6
+
+    @pytest.mark.parametrize("b", [1e-70, 1e-30, 1e-16, 1e16, 1e100, 1e300, 1.7976931348623157e308])
+    def test_loop_ends_without_a_cap_at_the_float_extremes(self, b):
+        """Far outside LOG_GRID, pi times the series argument already passes
+        350 at m = 1, so the uncapped loop ends before adding a term and the
+        brackets are finite and equal the reference bit for bit."""
+        *brackets, terms = thermal._kernel(BetaHat(b))
+        assert terms == 0
+        assert all(math.isfinite(x) for x in brackets)
+        assert list(map(float.hex, brackets)) == list(map(float.hex, kernel_to_underflow(b)))
 
     def test_high_temperature_point_is_ok(self, kerr_zamo):
         params, orbit, cavity = kerr_zamo
@@ -520,3 +480,25 @@ class TestOnePassKernel:
         assert record.beta_hat < 1e-4
         assert record.terms_used == 0
         assert all(math.isfinite(v) for v in (record.F_ren, record.S_ren, record.U_ren))
+
+
+class TestThermodynamicInvariants:
+    @pytest.mark.parametrize("frac", [None, 0.0, 0.9, -0.5], ids=["unit-flat", "zamo", "frac=0.9", "frac=-0.5"])
+    def test_entropy_positive_free_energy_falling_heat_capacity_nonnegative(self, flat_static, frac):
+        """Over 161 beta_hat from 1e3 down to 1e-5 (T rising): S_ren > 0,
+        F_ren strictly decreasing and U_ren - E0_ren never decreasing (heat
+        capacity >= 0), on the unit flat frame and on a = 0.5, r = 10 frames."""
+        if frac is None:
+            params, orbit, cavity = flat_static
+        else:
+            params = KerrParams(M=1.0, a=0.5)
+            orbit = orbit_from_band_fraction(params, 10.0, frac)
+            cavity = CavityGeometry(L=0.01, S0=1e-4)
+        frame0 = proper_frame(params, orbit, cavity)
+        reports = [casimir_report(replace(frame0, Tp=1.0 / (2.0 * frame0.Lp * 10.0 ** (3.0 - i / 20.0))),
+                                  params, orbit) for i in range(161)]
+        assert all(r.S_ren > 0.0 for r in reports)
+        F = [r.F_ren for r in reports]
+        assert all(hot < cold for cold, hot in zip(F, F[1:]))
+        thermal_U = [r.U_ren - r.E0_ren for r in reports]
+        assert all(hot >= cold for cold, hot in zip(thermal_U, thermal_U[1:]))
