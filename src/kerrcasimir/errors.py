@@ -34,6 +34,16 @@ def _checked_count(name: str, value, least: int = 1) -> int:
     return value
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number: a float or an int (a bool or a numpy
+    real too), but not a Decimal, a complex number, a string or None."""
+    if type(value) is float:
+        return True
+    import numbers  # here, so that importing the package does not load it
+
+    return isinstance(value, numbers.Real)
+
+
 class NakedSingularityError(DomainError):
     """|a| > M while the source is required to be a black hole."""
 

@@ -23,6 +23,7 @@ from .errors import (
     ForbiddenOrbitError,
     InsideHorizonError,
     NakedSingularityError,
+    _is_real,
 )
 
 __all__ = [
@@ -265,6 +266,22 @@ def comoving_metric(params: KerrParams, orbit: EquatorialOrbit) -> HatMetric:
     return HatMetric(tt=tt, tx=tx, xx=xx, yy=yy, zz=zz, gS=gS)
 
 
+def _checked_temperature(T) -> None:
+    """DomainError unless T is a finite real number >= 0 (a Decimal, a
+    string, None or a complex number is not)."""
+    if not (_is_real(T) and 0.0 <= T < math.inf):
+        raise DomainError(f"temperature must be a finite real number >= 0, got T={T!r}")
+
+
+def _proper_temperature(T: float, C: float) -> float:
+    """Tp = T*C of a checked T; +0.0, not -0.0, at T = -0.0, and DomainError
+    when the product is not finite."""
+    Tp = T * C + 0.0
+    if not math.isfinite(Tp):
+        raise DomainError(f"proper temperature is not finite: Tp={Tp}")
+    return Tp
+
+
 def proper_frame(
     params: KerrParams,
     orbit: EquatorialOrbit,
@@ -274,12 +291,12 @@ def proper_frame(
     """Proper cavity dimensions and proper temperature of the comoving observer.
 
     Lp = L sqrt(Delta) C / r,  Sp = (r / sqrt(Delta)) S0,  Vp = S0 L C,
-    Tp = T C.  The identity Sp * Lp = Vp is exact.  A non-finite or
-    negative T, or a frame that is not finite (inputs that bypassed the
+    Tp = T C.  The identity Sp * Lp = Vp is exact, and only Tp depends on
+    T.  A T that is not a finite real number >= 0 (checked before the
+    orbit), or a frame that is not finite (inputs that bypassed the
     dataclass checks, or overflow), raises DomainError.
     """
-    if not (0.0 <= T < math.inf):
-        raise DomainError(f"temperature must be finite and >= 0, got T={T}")
+    _checked_temperature(T)
     mf, _, v2, C = _observer(params, orbit)
     r = orbit.r
     sqrt_delta = math.sqrt(mf.Delta)
@@ -288,10 +305,10 @@ def proper_frame(
         Lp=cavity.L * sqrt_delta * C / r,
         Sp=(r / sqrt_delta) * cavity.S0,
         Vp=cavity.S0 * cavity.L * C,
-        Tp=T * C + 0.0,  # +0.0, not -0.0, at T = -0.0
+        Tp=_proper_temperature(T, C),
         v2=v2,
     )
-    if not all(map(math.isfinite, (frame.Lp, frame.Sp, frame.Vp, frame.Tp))):
+    if not all(map(math.isfinite, (frame.Lp, frame.Sp, frame.Vp))):
         raise DomainError(f"proper frame is not finite: {frame}")
     return frame
 

@@ -4,6 +4,10 @@ Every grid point is evaluated by a pure function in one process, in grid
 order, so the emitted bytes depend only on the sweep specification.  A
 point costs at most 6 series terms at any temperature, and the GIL
 serializes the pure-Python kernel, so sweeps run without a thread pool.
+Along T only the proper temperature moves, so a T sweep computes the
+frame, E0_ren and the validity diagnostics once, from the point at T = 0,
+and then one series pass per grid value; its records are evaluate_point's
+bit for bit.  The r, Omega, L and a axes evaluate every point in full.
 A record is an ``OutputRecord`` named tuple whose fields are the CSV
 columns in order.  Failed points (forbidden orbit, inside horizon, naked
 singularity, non-finite or out-of-domain input) keep their inputs and
@@ -30,15 +34,17 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, get_type_hints
 
-from .errors import DomainError, ForbiddenOrbitError, InsideHorizonError, _checked_count
+from .errors import DomainError, ForbiddenOrbitError, InsideHorizonError, _checked_count, _is_real
 from .geometry import (
     CavityGeometry,
     EquatorialOrbit,
     KerrParams,
+    _checked_temperature,
+    _proper_temperature,
     proper_frame,
 )
 from .modes import cavity_validity
-from .thermal import casimir_report
+from .thermal import _report, casimir_report
 
 __all__ = [
     "PointStatus",
@@ -57,6 +63,9 @@ __all__ = [
 # Relative Legendre residual |U - (F + Tp*S)| / max(|U|, |F|) every ok record
 # meets; in the float range the closed forms stay below 1e-12.
 _IDENTITY_TOL = 1e-9
+
+# What a formula raises for an input outside its domain or the float range.
+_INVALID = (DomainError, OverflowError, ZeroDivisionError)
 
 
 class PointStatus(str, Enum):
@@ -106,8 +115,14 @@ class SweepSpec:
             raise DomainError(f"sweep axis must be one of {[a.value for a in SweepAxis]}, "
                               f"got {self.axis!r}") from None
         object.__setattr__(self, "count", _checked_count("sweep count", self.count, 2))
-        if not (math.isfinite(self.start) and math.isfinite(self.stop) and self.start < self.stop):
-            raise DomainError(f"sweep needs finite start < stop, got [{self.start}, {self.stop}]")
+        try:
+            ordered = (_is_real(self.start) and _is_real(self.stop) and math.isfinite(self.start)
+                       and math.isfinite(self.stop) and self.start < self.stop)
+        except OverflowError:  # an int beyond the float range
+            ordered = False
+        if not ordered:
+            raise DomainError(f"sweep needs real, finite start < stop, "
+                              f"got [{self.start!r}, {self.stop!r}]")
         if self.scale not in ("linear", "log"):
             raise DomainError(f"scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and self.start <= 0.0:
@@ -230,41 +245,89 @@ def evaluate_point(req: PointRequest) -> OutputRecord:
         frame = proper_frame(req.params, req.orbit, req.cavity, req.T)
         report = casimir_report(frame, req.params, req.orbit)
         validity = cavity_validity(req.params, req.orbit, req.cavity)
-        if frame.Tp > 0.0:
-            identity_residual = abs(
-                report.U_ren - (report.F_ren + frame.Tp * report.S_ren)
-            ) / max(abs(report.U_ren), abs(report.F_ren))
-        else:
-            identity_residual = 0.0
     except ForbiddenOrbitError:
         return _failed(base, PointStatus.FORBIDDEN_ORBIT)
     except InsideHorizonError:
         return _failed(base, PointStatus.INSIDE_HORIZON)
-    except (DomainError, OverflowError, ZeroDivisionError):
+    except _INVALID:
         return _failed(base, PointStatus.INVALID_INPUT)
-    finite = all(map(math.isfinite, (report.F_ren, report.S_ren, report.U_ren)))
-    if not (finite and identity_residual <= _IDENTITY_TOL):
-        return _failed(base, PointStatus.INVALID_INPUT)
+    return _checked(base, (frame.C, frame.Lp, frame.Sp, frame.Vp), frame.Tp, report, validity)
 
-    return OutputRecord(*base, frame.C, frame.Lp, frame.Sp, frame.Vp, frame.Tp,
-                        *report, *validity, identity_residual, PointStatus.OK)
+
+def _checked(inputs: tuple, cells: tuple, Tp: float, report, validity) -> OutputRecord:
+    """The ok record of a point whose frame cells (C, Lp, Sp, Vp), proper
+    temperature Tp, report and validity diagnostics were computed, or
+    invalid_input when F, S or U is not finite or they break
+    U = F + Tp*S by more than _IDENTITY_TOL (relative to max(|U|, |F|))."""
+    F, S, U = report.F_ren, report.S_ren, report.U_ren
+    if not (math.isfinite(F) and math.isfinite(S) and math.isfinite(U)):
+        return _failed(inputs, PointStatus.INVALID_INPUT)
+    try:
+        residual = abs(U - (F + Tp * S)) / max(abs(U), abs(F)) if Tp > 0.0 else 0.0
+    except ZeroDivisionError:  # U = F = 0 at Tp > 0
+        return _failed(inputs, PointStatus.INVALID_INPUT)
+    if not residual <= _IDENTITY_TOL:
+        return _failed(inputs, PointStatus.INVALID_INPUT)
+    return OutputRecord._make((*inputs, *cells, Tp, *report, *validity, residual, PointStatus.OK))
+
+
+def _temperature_sweep(base: PointRequest, grid: list) -> list[OutputRecord]:
+    """evaluate_point's records over a grid of temperatures, with what T
+    does not move computed once.
+
+    Only Tp = T*C depends on T: the frame's C, Lp, Sp and Vp, E0_ren and
+    the validity diagnostics do not.  At T = 0 no series runs, so the
+    record at T = 0 holds exactly those parts.  When it is not ok, every
+    grid value takes the point path.  Else each grid value costs
+    proper_frame's T check and Tp, one _report and _checked:
+    evaluate_point's arithmetic on the same floats, so the records are
+    equal bit for bit.
+    """
+    zero = evaluate_point(PointRequest(base.params, base.orbit, base.cavity, 0.0))
+    if zero.status is not PointStatus.OK:
+        return [evaluate_point(PointRequest(base.params, base.orbit, base.cavity, T)) for T in grid]
+    six = zero[:6]
+    C, Lp, Sp, E0 = zero.C, zero.Lp, zero.Sp, zero.E0_ren
+    cells = (C, Lp, Sp, zero.Vp)
+    validity = (zero.alpha, zero.L_over_r, zero.ML_over_r2, zero.small_cavity_ok)
+    records = []
+    for T in grid:
+        inputs = (*six, T)
+        try:
+            _checked_temperature(T)
+            Tp = _proper_temperature(T, C)
+            report = _report(Lp, Sp, Tp, E0)
+        except _INVALID:
+            records.append(_failed(inputs, PointStatus.INVALID_INPUT))
+            continue
+        records.append(_checked(inputs, cells, Tp, report, validity))
+    return records
 
 
 def run_sweep(spec: SweepSpec, parallelism: int = 1) -> list[OutputRecord]:
     """Evaluate the grid in order, returning records ordered by axis value.
 
-    Points are evaluated one after another in the calling thread, so the
-    records are the same for every ``parallelism``.  The parameter starts
-    no worker and must be an integer >= 1 (DomainError otherwise); it stays
-    in second place under its name because callers pass it both ways, as
-    ``run_sweep(spec, 2)`` and ``run_sweep(spec, parallelism=8)``.
+    Every record is evaluate_point's for its grid value.  A T sweep
+    computes the frame, E0_ren and the validity diagnostics once, from the
+    point at T = 0, and then one series pass per grid value; the r, Omega,
+    L and a axes evaluate each point in full.  Points are evaluated one
+    after another in the calling thread, so the records are the same for
+    every ``parallelism``.  The parameter starts no worker and must be an
+    integer >= 1 (DomainError otherwise); it stays in second place under
+    its name because callers pass it both ways, as ``run_sweep(spec, 2)``
+    and ``run_sweep(spec, parallelism=8)``.
     """
     _checked_count("parallelism", parallelism)
+    if spec.axis is SweepAxis.T:
+        return _temperature_sweep(spec.base, spec.grid())
     return [spec.evaluate_at(v) for v in spec.grid()]
 
 
 def _finite(value) -> Optional[float]:
-    """The number as a float, or None when it is not a finite float."""
+    """The number as a float, or None when it is not a finite real number
+    (a string, a Decimal or a complex number left in an input cell)."""
+    if not _is_real(value):
+        return None
     try:
         value = float(value)
     except OverflowError:  # an int beyond the float range

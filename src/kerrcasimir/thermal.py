@@ -172,12 +172,13 @@ def _kernel(bh: BetaHat) -> tuple[float, float, float, float, int]:
     return g, f, s, w, m - 1
 
 
-def _thermal_parts(frame: ProperFrame, bh: BetaHat) -> tuple[float, float, float, int]:
-    """DeltaTF_ren, S_ren, U_ren - E0_ren and the terms of one series pass."""
+def _thermal_parts(Lp: float, Sp: float, bh: BetaHat) -> tuple[float, float, float, int]:
+    """DeltaTF_ren, S_ren, U_ren - E0_ren and the terms of one series pass
+    at proper separation Lp and proper plate area Sp."""
     _, f, s, w, terms = _kernel(bh)
-    scale = frame.Sp / (16.0 * math.pi * frame.Lp**2)
+    scale = Sp / (16.0 * math.pi * Lp**2)
     # 0.0 - x is exactly -x, except that it gives +0.0 where -x is -0.0.
-    return 0.0 - scale * f / (2.0 * frame.Lp), scale * s, scale * w / frame.Lp, terms
+    return 0.0 - scale * f / (2.0 * Lp), scale * s, scale * w / Lp, terms
 
 
 def flat_casimir_density(Lp: float) -> float:
@@ -210,9 +211,14 @@ def vacuum_energy(frame: ProperFrame, params: KerrParams, orbit: EquatorialOrbit
 def beta_hat(frame: ProperFrame) -> BetaHat:
     """Series parameter 1/(2*Lp*Tp); infinite when the proper temperature is
     zero or so small that 2*Lp*Tp underflows."""
-    if not (frame.Tp >= 0.0):
-        raise DomainError(f"proper temperature must be >= 0, got Tp={frame.Tp}")
-    denominator = 2.0 * frame.Lp * frame.Tp
+    return _beta_hat(frame.Lp, frame.Tp)
+
+
+def _beta_hat(Lp: float, Tp: float) -> BetaHat:
+    """beta_hat of a proper separation Lp and proper temperature Tp."""
+    if not (Tp >= 0.0):
+        raise DomainError(f"proper temperature must be >= 0, got Tp={Tp}")
+    denominator = 2.0 * Lp * Tp
     if denominator == 0.0:  # Tp = 0, or a product below the float range
         return BetaHat(value=math.inf)
     return BetaHat(value=1.0 / denominator)
@@ -252,7 +258,7 @@ def renorm_thermal_correction(frame: ProperFrame, bh: BetaHat) -> float:
     linearly, approaching -zeta(3) Sp Tp/(16 pi Lp^2) + pi^2 Sp/(1440 Lp^3)
     (the classical term is not among the subtracted ones).
     """
-    return _thermal_parts(frame, bh)[0]
+    return _thermal_parts(frame.Lp, frame.Sp, bh)[0]
 
 
 def total_free_energy(
@@ -272,7 +278,7 @@ def entropy(frame: ProperFrame, bh: BetaHat) -> float:
     low-temperature regime and tends to zeta(3) Sp/(16 pi Lp^2) at high
     temperature.
     """
-    return _thermal_parts(frame, bh)[1]
+    return _thermal_parts(frame.Lp, frame.Sp, bh)[1]
 
 
 def internal_energy(
@@ -286,7 +292,7 @@ def internal_energy(
     Reduces to E0_ren at zero temperature and saturates at
     E0_ren + pi^2 Sp/(1440 Lp^3) at high temperature.
     """
-    return vacuum_energy(frame, params, orbit) + _thermal_parts(frame, bh)[2]
+    return vacuum_energy(frame, params, orbit) + _thermal_parts(frame.Lp, frame.Sp, bh)[2]
 
 
 def casimir_report(frame: ProperFrame, params: KerrParams, orbit: EquatorialOrbit) -> CasimirReport:
@@ -298,17 +304,17 @@ def casimir_report(frame: ProperFrame, params: KerrParams, orbit: EquatorialOrbi
     the sums, at most 6 terms either way; terms_used counts that pass and
     is 0 for beta_hat below about 0.009.  Tp = 0 takes the exact
     zero-temperature path (F = U = E0, S = 0, no series evaluation).
+    It is vacuum_energy, the one part that reads v2, plus _report, which
+    reads only Lp, Sp and Tp; a temperature sweep takes E0 and the frame
+    once and calls _report alone at each temperature.
     """
-    bh = beta_hat(frame)
-    E0 = vacuum_energy(frame, params, orbit)
-    DeltaTF_ren, S_ren, thermal_U, terms = _thermal_parts(frame, bh)
-    return CasimirReport(
-        E0_ren=E0,
-        DeltaTF_ren=DeltaTF_ren,
-        F_ren=E0 + DeltaTF_ren,
-        S_ren=S_ren,
-        U_ren=E0 + thermal_U,
-        f_bb=blackbody_density(frame.Tp),
-        beta_hat=bh.value,
-        terms_used=terms,
-    )
+    return _report(frame.Lp, frame.Sp, frame.Tp, vacuum_energy(frame, params, orbit))
+
+
+def _report(Lp: float, Sp: float, Tp: float, E0: float) -> CasimirReport:
+    """The CasimirReport at proper separation Lp, proper plate area Sp and
+    proper temperature Tp of a cavity whose vacuum energy is E0."""
+    bh = _beta_hat(Lp, Tp)
+    DeltaTF_ren, S_ren, thermal_U, terms = _thermal_parts(Lp, Sp, bh)
+    return CasimirReport(E0, DeltaTF_ren, E0 + DeltaTF_ren, S_ren, E0 + thermal_U,
+                         blackbody_density(Tp), bh.value, terms)

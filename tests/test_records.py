@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import math
+import numbers
 import re
 from dataclasses import fields, replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +291,8 @@ def reference_plain(column, value):
         return int(value)
     if column == FLAG_COLUMN:
         return bool(value)
+    if not isinstance(value, numbers.Real):  # a string, a Decimal or a complex number
+        return None
     try:
         value = float(value)
     except OverflowError:
@@ -347,6 +351,8 @@ HOLES = {
                                                      allow_infinity=False).map(np.float32)),
     "int": st.tuples(float_columns, st.integers(-(2**64), 2**64)),
     "int beyond the float range": st.tuples(float_columns, st.sampled_from([10**400, -(10**400)])),
+    "not a real number": st.tuples(float_columns, st.sampled_from(["1", "abc", Decimal("1"),
+                                                                   1 + 0j])),
     "failed status": st.tuples(st.just("status"), st.sampled_from(list(PointStatus)[1:])),
     "terms_used beyond the float range": st.tuples(st.just("terms_used"), st.just(10**400)),
     "terms_used bool": st.tuples(st.just("terms_used"), st.booleans()),
@@ -461,6 +467,18 @@ class TestRecordLists:
         records = [rec._replace(**{column: 1.0}) for rec in records]
         row %= len(records)
         records[row] = records[row]._replace(**{column: 1})
+        assert_lists_match_reference(records)
+
+    @given(records=record_lists(), column=float_columns, row=st.integers(1, 10),
+           value=st.floats(1e-30, 1e30))
+    @example(records=EDGE_LIST, column="Lp", row=1, value=0.1)
+    @settings(max_examples=30)
+    def test_a_float32_among_the_floats_it_rounds_from(self, records, column, row, value):
+        """numpy compares np.float32(x) with the Python float x in float32, so
+        they are equal, yet each spells its own value."""
+        records = [rec._replace(**{column: value}) for rec in records]
+        row %= len(records)
+        records[row] = records[row]._replace(**{column: np.float32(value)})
         assert_lists_match_reference(records)
 
     @given(data=st.data())

@@ -8,6 +8,8 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from kerrcasimir import (
     records_to_jsonl,
     run_sweep,
 )
-from kerrcasimir import cli
+from kerrcasimir import cli, orbit_from_band_fraction, proper_frame, sweep
 from kerrcasimir.cli import main
 from kerrcasimir.sweep import CSV_COLUMNS
 
@@ -196,6 +198,121 @@ class TestEvaluatePoint:
     def test_dataclasses_reject_non_finite_fields(self, build, value):
         with pytest.raises(DomainError):
             build(value)
+
+
+class TestTemperatureIsARealNumber:
+    """A T that is not a real number is invalid_input, never an exception."""
+
+    @pytest.mark.parametrize("T", [None, "1", "abc", 1 + 0j, Decimal("1")])
+    def test_point_path(self, T):
+        req = kerr_request()
+        with pytest.raises(DomainError, match="temperature must be a finite real number"):
+            proper_frame(req.params, req.orbit, req.cavity, T)
+        record = evaluate_point(replace(req, T=T))
+        assert record.status is PointStatus.INVALID_INPUT
+        assert record.T is T and record.F_ren is None
+        # The writers spell the kept input as a missing cell.
+        empty = record._replace(T=None)
+        assert records_to_csv([record]) == records_to_csv([empty])
+        assert records_to_jsonl([record]) == records_to_jsonl([empty])
+
+    def test_temperature_sweep_path(self):
+        base = kerr_request()
+        values = [None, "1", 1 + 0j, -1.0, 0.0, 1.0, math.inf, math.nan, 10**400, np.float32(1.0),
+                  Decimal("1"), Fraction(1, 3)]
+        records = sweep._temperature_sweep(base, values)
+        assert records == [evaluate_point(replace(base, T=T)) for T in values]
+        assert [r.status.value for r in records[:5]] == ["invalid_input"] * 4 + ["ok"]
+
+    @pytest.mark.parametrize("start, stop", [("1", 2.0), (1 + 0j, 2.0), (0.5, None),
+                                             (Decimal("0.5"), 2.0), (0.5, Decimal("2")),
+                                             (0.5, 2**2000), (-(2**2000), 1.0)],
+                             ids=["str", "complex", "None", "Decimal start", "Decimal stop",
+                                  "2**2000", "-2**2000"])
+    def test_sweep_bounds(self, start, stop):
+        with pytest.raises(DomainError, match="finite start < stop"):
+            SweepSpec(axis=SweepAxis.T, start=start, stop=stop, count=3, base=kerr_request())
+
+
+def plan_bases():
+    """Bases of every status a T sweep can hold for all its grid values."""
+    zamo = kerr_request()
+    overspun = KerrParams(M=1.0, a=1.5, black_hole_mode=False)
+    return {
+        "zamo": zamo,
+        "band fraction 0.9": replace(zamo, orbit=orbit_from_band_fraction(zamo.params, 10.0, 0.9)),
+        "forbidden_orbit": replace(zamo, orbit=EquatorialOrbit(r=10.0, Omega=0.5)),
+        "inside_horizon": replace(zamo, orbit=EquatorialOrbit(r=1.5, Omega=0.0)),
+        "over-spun": replace(zamo, params=overspun, orbit=EquatorialOrbit(
+            r=10.0, Omega=dragging_angular_velocity(overspun, 10.0))),
+        "E0 below the float range": replace(zamo, cavity=CavityGeometry(L=1e-90, S0=1e-4)),
+        "E0 beyond the float range": replace(zamo, cavity=CavityGeometry(L=1e80, S0=1e-4)),
+    }
+
+
+PLAN_GRIDS = {
+    "linear from -1": dict(start=-1.0, stop=2.0, count=13),
+    "linear from -0.0": dict(start=-0.0, stop=1.0, count=9),
+    "log 1e60 to 1e300": dict(start=1e60, stop=1e300, count=25, scale="log"),
+    "log over beta_hat 1e3 to 1e-5": dict(start=0.0447, stop=4.47e6, count=33, scale="log"),
+}
+
+
+class TestTemperatureSweepPlan:
+    """A T sweep computes the frame, E0 and the validity diagnostics once,
+    yet every record and byte is the point path's."""
+
+    @pytest.mark.parametrize("grid", list(PLAN_GRIDS))
+    @pytest.mark.parametrize("base", list(plan_bases()))
+    def test_equals_the_point_path(self, base, grid):
+        spec = SweepSpec(axis=SweepAxis.T, base=plan_bases()[base], **PLAN_GRIDS[grid])
+        planned = run_sweep(spec)
+        pointwise = [evaluate_point(spec.request_at(T)) for T in spec.grid()]
+        assert planned == pointwise
+        assert list(map(repr, planned)) == list(map(repr, pointwise))  # -0.0 and types too
+        assert records_to_csv(planned) == records_to_csv(pointwise)
+        assert records_to_jsonl(planned) == records_to_jsonl(pointwise)
+
+    def test_the_cases_reach_every_status(self):
+        statuses = {}
+        for name, base in plan_bases().items():
+            for grid in PLAN_GRIDS.values():
+                for rec in run_sweep(SweepSpec(axis=SweepAxis.T, base=base, **grid)):
+                    statuses.setdefault(rec.status, set()).add(name)
+        assert set(statuses) == set(PointStatus)
+        # The log grid to 1e300 crosses from ok into invalid_input.
+        zamo = [rec.status for rec in run_sweep(SweepSpec(axis=SweepAxis.T, base=kerr_request(),
+                                                          **PLAN_GRIDS["log 1e60 to 1e300"]))]
+        assert zamo[0] is PointStatus.OK and zamo[-1] is PointStatus.INVALID_INPUT
+        assert statuses[PointStatus.INVALID_INPUT] >= {"E0 below the float range",
+                                                       "E0 beyond the float range"}
+
+    @staticmethod
+    def count_calls(monkeypatch, spec):
+        calls = {"proper_frame": 0, "cavity_validity": 0}
+        for name in calls:
+            inner = getattr(sweep, name)
+
+            def counted(*args, name=name, inner=inner):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(sweep, name, counted)
+        records = run_sweep(spec)
+        monkeypatch.undo()
+        return calls, records
+
+    def test_the_frame_and_validity_once_per_temperature_sweep(self, monkeypatch):
+        spec = SweepSpec(axis=SweepAxis.T, start=1e-2, stop=1e6, count=4096, scale="log",
+                         base=kerr_request())
+        calls, records = self.count_calls(monkeypatch, spec)
+        assert all(rec.status is PointStatus.OK for rec in records)
+        assert calls["proper_frame"] <= 2 and calls["cavity_validity"] <= 2
+
+    def test_the_other_axes_keep_the_point_path(self, monkeypatch):
+        spec = SweepSpec(axis=SweepAxis.R, start=3.0, stop=30.0, count=16, base=kerr_request())
+        calls, _ = self.count_calls(monkeypatch, spec)
+        assert calls == {"proper_frame": 16, "cavity_validity": 16}
 
 
 class TestRunSweep:
